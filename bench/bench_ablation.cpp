@@ -208,6 +208,5 @@ int main(int argc, char** argv) {
   ablation_push_vs_pull(opts.quick, report);
   ablation_runq_weight(opts.quick, report);
   ablation_granularity_accuracy(opts.quick, report);
-  report.write();
-  return 0;
+  return report.write() ? 0 : 1;
 }

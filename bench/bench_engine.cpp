@@ -21,7 +21,6 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
-#include <cstring>
 #include <functional>
 #include <iostream>
 #include <memory>
@@ -30,6 +29,7 @@
 #include <string>
 #include <vector>
 
+#include "args.hpp"
 #include "common.hpp"
 #include "report.hpp"
 #include "sim/event_queue.hpp"
@@ -304,10 +304,7 @@ int main(int argc, char** argv) {
   using namespace rdmamon;
   using namespace rdmamon::bench;
 
-  bool quick = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) quick = true;
-  }
+  const bool quick = parse_args(argc, argv).quick;
   const std::uint64_t kTimerEvents = quick ? 500'000 : 5'000'000;
   const std::uint64_t kCancelIters = quick ? 400'000 : 4'000'000;
   const std::uint64_t kHorizonIters = quick ? 400'000 : 4'000'000;
@@ -389,7 +386,7 @@ int main(int argc, char** argv) {
   report.set("zero_steady_state_alloc", util::JsonValue(alloc_ok));
   report.set("peak_rss_wheel_kb", util::JsonValue(double(wheel_rss_kb)));
   report.set("peak_rss_total_kb", util::JsonValue(double(total_rss_kb)));
-  report.write();
+  const bool written = report.write();
 
   std::cout << "peak RSS: " << wheel_rss_kb << " KB after wheel-kernel runs, "
             << total_rss_kb << " KB total\n";
@@ -399,5 +396,5 @@ int main(int argc, char** argv) {
     return 1;
   }
   std::cout << "zero-steady-state-allocation: OK\n";
-  return 0;
+  return written ? 0 : 1;
 }

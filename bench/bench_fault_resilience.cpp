@@ -205,6 +205,5 @@ int main(int argc, char** argv) {
   std::cout << "pending requests on the dead back end are rejected so "
                "clients re-traffic the survivors; the back end is "
                "re-admitted after recovery.\n";
-  report.write();
-  return 0;
+  return report.write() ? 0 : 1;
 }

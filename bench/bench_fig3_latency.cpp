@@ -164,6 +164,5 @@ int main(int argc, char** argv) {
   std::cout << "  acceptance: |delta| < 2% (instruments charge no simulated "
                "time, so this is ~0 by construction)\n";
 
-  report.write();
-  return 0;
+  return report.write() ? 0 : 1;
 }

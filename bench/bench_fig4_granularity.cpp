@@ -91,6 +91,5 @@ int main(int argc, char** argv) {
   std::cout << "\nNormalised application delay (%, lower is better):\n";
   rdmamon::bench::show(table);
   rdmamon::bench::show(chart);
-  report.write();
-  return 0;
+  return report.write() ? 0 : 1;
 }

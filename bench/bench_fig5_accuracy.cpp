@@ -168,6 +168,5 @@ int main(int argc, char** argv) {
   std::cout << "(b) Mean |deviation| of reported CPU load (0..1):\n";
   rdmamon::bench::show(tb);
   rdmamon::bench::show(chart_b);
-  report.write();
-  return 0;
+  return report.write() ? 0 : 1;
 }

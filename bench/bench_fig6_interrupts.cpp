@@ -120,6 +120,5 @@ int main(int argc, char** argv) {
   chart.add_series({"CPU0", cpu0_series});
   chart.add_series({"CPU1", cpu1_series});
   rdmamon::bench::show(chart);
-  report.write();
-  return 0;
+  return report.write() ? 0 : 1;
 }

@@ -83,6 +83,5 @@ int main(int argc, char** argv) {
   std::cout << "\nThroughput improvement relative to Socket-Async:\n";
   bench::show(table);
   bench::show(chart);
-  report.write();
-  return 0;
+  return report.write() ? 0 : 1;
 }

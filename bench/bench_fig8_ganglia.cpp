@@ -155,6 +155,5 @@ int main(int argc, char** argv) {
   rdmamon::bench::show(cb);
   std::cout << "(b) Browse maximum response time (ms):\n";
   rdmamon::bench::show(tb);
-  report.write();
-  return 0;
+  return report.write() ? 0 : 1;
 }

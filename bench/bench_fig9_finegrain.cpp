@@ -81,6 +81,5 @@ int main(int argc, char** argv) {
     h["best_other_rps"] = best_other_at_fine;
     h["gain_pct"] = (rdma_at_fine / best_other_at_fine - 1.0) * 100.0;
   }
-  report.write();
-  return 0;
+  return report.write() ? 0 : 1;
 }

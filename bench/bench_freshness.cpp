@@ -248,6 +248,5 @@ int main(int argc, char** argv) {
   o["telemetry_plane_delta_pct"] = plane_pct;
   o["ages_match"] = age[0] == age[1] && age[1] == age[2];
 
-  report.write();
-  return 0;
+  return report.write() ? 0 : 1;
 }

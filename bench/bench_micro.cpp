@@ -2,8 +2,17 @@
 // of the modelled operations' simulated costs. These are the ablation
 // hooks for DESIGN.md's modelling decisions: RDMA READ vs socket RTT,
 // scheduler dispatch cost, event-queue throughput, Zipf sampling.
+//
+// Takes the uniform bench flags next to google-benchmark's own:
+// `--quick` runs each benchmark for a short minimum time, and `--seed N`
+// seeds the Zipf and RUBiS sampling benchmarks.
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
+#include <string>
+#include <vector>
+
+#include "args.hpp"
 #include "monitor/monitor.hpp"
 #include "net/fabric.hpp"
 #include "net/nic.hpp"
@@ -18,6 +27,8 @@
 namespace {
 
 using namespace rdmamon;
+
+std::uint64_t g_seed = 42;  ///< --seed: the sampling benchmarks' RNG seed
 
 // --- DES kernel ---------------------------------------------------------------
 
@@ -52,7 +63,7 @@ BENCHMARK(BM_EventQueueBurst)->Arg(1000)->Arg(10000);
 
 void BM_ZipfSample(benchmark::State& state) {
   sim::ZipfDistribution z(static_cast<std::size_t>(state.range(0)), 0.8);
-  sim::Rng rng(42);
+  sim::Rng rng(g_seed);
   for (auto _ : state) {
     benchmark::DoNotOptimize(z.sample(rng));
   }
@@ -61,7 +72,7 @@ BENCHMARK(BM_ZipfSample)->Arg(1000)->Arg(100000);
 
 void BM_RubisInstance(benchmark::State& state) {
   workload::RubisWorkload wl;
-  sim::Rng rng(42);
+  sim::Rng rng(g_seed);
   for (auto _ : state) {
     benchmark::DoNotOptimize(wl.sample_instance(rng));
   }
@@ -150,4 +161,18 @@ BENCHMARK(BM_SimulatedMonitorFetch)
 
 }  // namespace
 
-BENCHMARK_MAIN();
+int main(int argc, char** argv) {
+  const rdmamon::bench::Options opts = rdmamon::bench::take_args(argc, argv);
+  g_seed = opts.seed;
+  std::vector<char*> args(argv, argv + argc);
+  // Ahead of the user's flags, so an explicit --benchmark_min_time wins.
+  std::string quick_min_time = "--benchmark_min_time=0.01";
+  if (opts.quick) args.insert(args.begin() + 1, quick_min_time.data());
+  int n = static_cast<int>(args.size());
+  args.push_back(nullptr);
+  benchmark::Initialize(&n, args.data());
+  if (benchmark::ReportUnrecognizedArguments(n, args.data())) return 2;
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
+  return 0;
+}

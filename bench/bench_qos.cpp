@@ -250,6 +250,5 @@ int main(int argc, char** argv) {
             << " MB/s (throttle ratio " << num(throttle_ratio, 1)
             << "x) and the weighted arbiter keeps monitoring READs "
                "flowing — the view never leaves its SLO.\n";
-  report.write();
-  return 0;
+  return report.write() ? 0 : 1;
 }

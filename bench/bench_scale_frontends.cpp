@@ -228,6 +228,5 @@ int main(int argc, char** argv) {
   bh["polls_per_backend_sec_m4"] = big_m4;
   bh["flatness_ratio"] = big_ratio;
 
-  report.write();
-  return 0;
+  return report.write() ? 0 : 1;
 }

@@ -526,6 +526,5 @@ int main(int argc, char** argv) {
   ph["push_beats_pull"] = push_low < pull_low;
   ph["adaptive_worst_ratio"] = worst_ratio;
 
-  report.write();
-  return 0;
+  return report.write() ? 0 : 1;
 }

@@ -126,6 +126,5 @@ int main(int argc, char** argv) {
     h["browse_max_rdma_sync_ms"] = rdma;
     h["reduction_pct"] = (1.0 - rdma / sock) * 100.0;
   }
-  report.write();
-  return 0;
+  return report.write() ? 0 : 1;
 }

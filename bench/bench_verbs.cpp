@@ -357,6 +357,5 @@ int main(int argc, char** argv) {
   qh["thrash_ratio"] = thrash_ratio;
   qh["shared_ratio"] = shared_ratio;
 
-  report.write();
-  return 0;
+  return report.write() ? 0 : 1;
 }

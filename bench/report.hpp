@@ -67,6 +67,8 @@ class JsonReport {
   }
 
   /// Writes the document; prints where it went (or why it could not).
+  /// Returns false when the file could not be written in full; bench
+  /// mains turn that into a non-zero exit.
   /// Adds the wall-clock metadata at the last moment so it covers the
   /// whole run (golden-trace checks treat these keys as volatile).
   bool write() {
@@ -80,12 +82,16 @@ class JsonReport {
     const std::string path = filename();
     std::FILE* f = std::fopen(path.c_str(), "w");
     if (f == nullptr) {
-      std::cerr << "warning: cannot write " << path << "\n";
+      std::cerr << "error: cannot write " << path << "\n";
       return false;
     }
     const std::string text = root_.dump(2) + "\n";
-    std::fwrite(text.data(), 1, text.size(), f);
-    std::fclose(f);
+    const bool written =
+        std::fwrite(text.data(), 1, text.size(), f) == text.size();
+    if (std::fclose(f) != 0 || !written) {
+      std::cerr << "error: failed writing " << path << "\n";
+      return false;
+    }
     std::cout << "\n[report] wrote " << path << "\n";
     return true;
   }

@@ -30,7 +30,10 @@ elif [[ "${1:-}" == "bench" ]]; then
   cmake --build build -j "$jobs" --target \
     bench_fig3_latency bench_fig5_accuracy bench_scale_poll \
     bench_fault_resilience bench_scale_frontends bench_engine bench_verbs \
-    bench_qos
+    bench_qos bench_micro
+  # Every bench binary takes the uniform --quick/--seed flags,
+  # google-benchmark's bench_micro included.
+  ./build/bench/bench_micro --quick --seed 42
   mkdir -p bench-results
   for b in fig3_latency scale_poll fault_resilience scale_frontends engine \
            verbs qos; do

@@ -278,8 +278,6 @@ std::vector<std::size_t> LoadBalancer::poll_targets(
 
 void LoadBalancer::start(os::Node& frontend, sim::Duration granularity) {
   // Join every monitor to the scatter engine's shared completion channel.
-  // Harmless for Sequential mode: the blocking fetch path demuxes by
-  // wr_id off the same CQ.
   for (auto& ch : channels_) scatter_.add(ch->frontend());
   if (verbs_.cq_mod_count > 1) {
     scatter_.cq().bind_moderation(frontend.simu(), verbs_.cq_mod_count,
@@ -393,12 +391,9 @@ void LoadBalancer::start(os::Node& frontend, sim::Duration granularity) {
 
 os::Program LoadBalancer::poller_body(os::SimThread& self,
                                       sim::Duration granularity) {
-  // One poll round every `granularity`. Scatter mode issues the round's
-  // fetches concurrently, so per-backend staleness tracks the slowest
-  // single fetch instead of the sum; Sequential keeps the paper's
-  // original sweep, where a slow (loaded socket scheme) or dead back end
-  // delays every later one — a real effect we deliberately keep
-  // available for comparison.
+  // One poll round every `granularity`. The round's fetches are issued
+  // concurrently, so per-backend staleness tracks the slowest single
+  // fetch instead of the sum.
   // Dead back ends still get probed — a fetch succeeding again is the
   // failure detector's only recovery signal — but only on the
   // dead-probe cadence, so a corpse does not cost a fetch_timeout per
@@ -416,20 +411,11 @@ os::Program LoadBalancer::poller_body(os::SimThread& self,
                              static_cast<std::int64_t>(scanned)};
       }
     }
-    if (poll_mode_ == PollMode::Scatter) {
-      co_await scatter_.round(self, targets, round_buf_);
-      for (std::size_t i : targets) {
-        apply_sample(i, round_buf_[i]);
-        if (adaptive_ && round_buf_[i].ok) {
-          adaptive_->on_pull_sample(i, round_buf_[i].info);
-        }
-      }
-    } else {
-      for (std::size_t i : targets) {
-        monitor::MonitorSample s;
-        co_await channels_[i]->frontend().fetch(self, s);
-        apply_sample(i, s);
-        if (adaptive_ && s.ok) adaptive_->on_pull_sample(i, s.info);
+    co_await scatter_.round(self, targets, round_buf_);
+    for (std::size_t i : targets) {
+      apply_sample(i, round_buf_[i]);
+      if (adaptive_ && round_buf_[i].ok) {
+        adaptive_->on_pull_sample(i, round_buf_[i].info);
       }
     }
     for (const auto& cb : round_cbs_) cb(targets);

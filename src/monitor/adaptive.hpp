@@ -15,7 +15,7 @@
 // bounded by 1/min_dwell per backend by construction (the flap-freedom
 // the property suite asserts). Everything runs on the simulated clock
 // from simulated events: decisions are deterministic and never read the
-// telemetry plane (which may be compiled out).
+// telemetry plane (which may not be installed).
 #pragma once
 
 #include <cstdint>

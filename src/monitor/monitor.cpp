@@ -142,7 +142,6 @@ void FrontendMonitor::resolve_metrics() {
 }
 
 void FrontendMonitor::record_sample(const MonitorSample& s) {
-  if constexpr (!telemetry::kEnabled) return;
   if (!metrics_resolved_) resolve_metrics();
   if (reg_ == nullptr) return;
   telemetry::add(s.ok ? m_ok_

@@ -31,10 +31,6 @@
 #include "sim/time.hpp"
 #include "util/json.hpp"
 
-#ifndef RDMAMON_TELEMETRY_ENABLED
-#define RDMAMON_TELEMETRY_ENABLED 1
-#endif
-
 namespace rdmamon::telemetry {
 
 class FlightRecorder;
@@ -142,25 +138,17 @@ class FlightRecorder {
   std::uint64_t dumps_ = 0;
 };
 
-// --- hot-path record helpers (null-tolerant, compile-out capable) ----------
+// --- hot-path record helpers (null-tolerant) --------------------------------
 
 inline void fr_record(FlightRing* r, const char* kind, std::int64_t a = 0,
                       std::int64_t b = 0, double x = 0.0) noexcept {
-#if RDMAMON_TELEMETRY_ENABLED
   if (r) r->record(kind, a, b, x);
-#else
-  (void)r; (void)kind; (void)a; (void)b; (void)x;
-#endif
 }
 
 inline void fr_record_at(FlightRing* r, sim::TimePoint at, const char* kind,
                          std::int64_t a = 0, std::int64_t b = 0,
                          double x = 0.0) noexcept {
-#if RDMAMON_TELEMETRY_ENABLED
   if (r) r->record_at(at, kind, a, b, x);
-#else
-  (void)r; (void)at; (void)kind; (void)a; (void)b; (void)x;
-#endif
 }
 
 }  // namespace rdmamon::telemetry

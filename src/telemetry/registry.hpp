@@ -9,10 +9,7 @@
 //     wall-clock-only cost, so figure shapes (Figs 3-6) cannot move.
 //  2. Zero-cost when disabled. Components cache instrument POINTERS at
 //     wiring time; when no registry is installed the pointers stay null
-//     and the inline record helpers below reduce to one branch — and when
-//     the library is compiled with RDMAMON_TELEMETRY_ENABLED=0 they are
-//     `if constexpr`-eliminated entirely (compile-time-checkable fast
-//     path; see telemetry::kEnabled).
+//     and the inline record helpers below reduce to one branch.
 //  3. Lock-cheap. The simulator is single-threaded by construction, so
 //     "lock-cheap" here is "lock-free": instruments are plain fields.
 //  4. Deterministic export. Snapshots iterate a sorted instrument map, so
@@ -41,18 +38,9 @@
 #include "telemetry/recorder.hpp"
 #include "telemetry/span.hpp"
 
-#ifndef RDMAMON_TELEMETRY_ENABLED
-#define RDMAMON_TELEMETRY_ENABLED 1
-#endif
-
 namespace rdmamon::telemetry {
 
 class SloEngine;
-
-/// Compile-time master switch. Building with
-/// -DRDMAMON_TELEMETRY_ENABLED=0 turns every record helper into a
-/// provable no-op (static_assert-checkable: `if constexpr` on this).
-inline constexpr bool kEnabled = RDMAMON_TELEMETRY_ENABLED != 0;
 
 /// Instrument labels: sorted key=value pairs. Construction sorts, so
 /// {a=1,b=2} and {b=2,a=1} name the same instrument.
@@ -150,15 +138,7 @@ class Registry {
   void install(sim::Simulation& simu);
 
   /// The registry installed on `simu`, or nullptr (telemetry off).
-  /// Compiled out (always nullptr) when kEnabled is false.
-  static Registry* of(sim::Simulation& simu) {
-    if constexpr (kEnabled) {
-      return simu.telemetry();
-    } else {
-      (void)simu;
-      return nullptr;
-    }
-  }
+  static Registry* of(sim::Simulation& simu) { return simu.telemetry(); }
 
   /// Instrument lookup-or-create. Same (name, labels) -> same instrument.
   Counter& counter(std::string_view name, const Labels& labels = {});
@@ -241,34 +221,18 @@ class ScopedCollector {
 };
 
 // --- hot-path record helpers -----------------------------------------------
-// All tolerate null instrument pointers (telemetry off) and compile to
-// nothing when kEnabled is false.
+// All tolerate null instrument pointers (telemetry off).
 
 inline void add(Counter* c, std::uint64_t n = 1) noexcept {
-  if constexpr (kEnabled) {
-    if (c) c->inc(n);
-  } else {
-    (void)c;
-    (void)n;
-  }
+  if (c) c->inc(n);
 }
 
 inline void set(Gauge* g, double v) noexcept {
-  if constexpr (kEnabled) {
-    if (g) g->set(v);
-  } else {
-    (void)g;
-    (void)v;
-  }
+  if (g) g->set(v);
 }
 
 inline void observe(HistogramMetric* h, double v) noexcept {
-  if constexpr (kEnabled) {
-    if (h) h->observe(v);
-  } else {
-    (void)h;
-    (void)v;
-  }
+  if (h) h->observe(v);
 }
 
 inline void observe(HistogramMetric* h, sim::Duration d) noexcept {
@@ -279,40 +243,18 @@ inline void observe(HistogramMetric* h, sim::Duration d) noexcept {
 
 inline SpanId span_begin(Registry* r, std::string_view component,
                          std::string_view name, SpanId cause = {}) {
-  if constexpr (kEnabled) {
-    return r ? r->spans().begin(component, name, cause) : SpanId{};
-  } else {
-    (void)r;
-    (void)component;
-    (void)name;
-    (void)cause;
-    return SpanId{};
-  }
+  return r ? r->spans().begin(component, name, cause) : SpanId{};
 }
 
 inline void span_end(Registry* r, SpanId id, std::string_view outcome = "ok") {
-  if constexpr (kEnabled) {
-    if (r && id) r->spans().end(id, outcome);
-  } else {
-    (void)r;
-    (void)id;
-    (void)outcome;
-  }
+  if (r && id) r->spans().end(id, outcome);
 }
 
 /// Instantaneous annotated span (fault events, health transitions).
 inline void span_event(Registry* r, std::string_view component,
                        std::string_view name, std::string note,
                        SpanId cause = {}) {
-  if constexpr (kEnabled) {
-    if (r) r->spans().event(component, name, std::move(note), cause);
-  } else {
-    (void)r;
-    (void)component;
-    (void)name;
-    (void)note;
-    (void)cause;
-  }
+  if (r) r->spans().event(component, name, std::move(note), cause);
 }
 
 }  // namespace rdmamon::telemetry

@@ -36,30 +36,6 @@ void SpanTracer::end(SpanId id, std::string_view outcome) {
   open_.erase(it);
   s.end = now();
   s.outcome = outcome;
-  if (tracer_) {
-    // Lazy mirror: the line is only built when the tracer would emit it.
-    tracer_->debug("span", [&s] {
-      std::string line = s.component;
-      line += '/';
-      line += s.name;
-      line += " #";
-      line += std::to_string(s.id);
-      if (s.cause != 0) {
-        line += "<-#";
-        line += std::to_string(s.cause);
-      }
-      line += ' ';
-      line += s.outcome;
-      line += ' ';
-      line += sim::to_string(s.duration());
-      for (const std::string& n : s.notes) {
-        line += " {";
-        line += n;
-        line += '}';
-      }
-      return line;
-    });
-  }
   finished_.push_back(std::move(s));
   if (finished_.size() > capacity_) {
     finished_.pop_front();

@@ -1,20 +1,17 @@
 // Span tracing for the monitoring plane itself: begin/end pairs on the
 // simulated clock with cause-linking (a retry attempt points at the fetch
-// that spawned it; a scatter slot points at its round). Layered on
-// sim::Tracer: when a tracer is bound, span ends emit one debug line
-// through it — built lazily, so an unbound or disabled tracer costs one
-// branch.
+// that spawned it; a scatter slot points at its round).
 #pragma once
 
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <string>
 #include <string_view>
 #include <unordered_map>
 #include <vector>
 
 #include "sim/time.hpp"
-#include "sim/trace.hpp"
 
 namespace rdmamon::telemetry {
 
@@ -43,12 +40,10 @@ struct Span {
 /// until end() is called.
 class SpanTracer {
  public:
-  /// Clock source (bound by Registry::install) and optional Tracer to
-  /// mirror span ends into.
+  /// Clock source (bound by Registry::install).
   void bind_clock(std::function<sim::TimePoint()> now) {
     now_ = std::move(now);
   }
-  void mirror_to(sim::Tracer* tracer) { tracer_ = tracer; }
 
   /// Finished spans kept (default 4096); older ones are dropped.
   void set_capacity(std::size_t cap);
@@ -79,7 +74,6 @@ class SpanTracer {
   sim::TimePoint now() const { return now_ ? now_() : sim::TimePoint{}; }
 
   std::function<sim::TimePoint()> now_;
-  sim::Tracer* tracer_ = nullptr;
   std::size_t capacity_ = 4096;
   std::uint64_t next_id_ = 1;
   std::uint64_t started_ = 0;

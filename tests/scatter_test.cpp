@@ -2,10 +2,11 @@
 // stale-completion handling, batched multi-READ posting, the
 // issue/complete split on FrontendMonitor, and the ScatterFetcher round
 // engine. The load-bearing property is PARITY: a scatter round must reach
-// the same per-backend verdicts (ok/error/attempts, health transitions)
-// as the sequential sweep — only the calendar time may differ.
+// the same per-backend verdicts (ok/error/attempts) as the sequential
+// sweep of blocking fetch() calls — only the calendar time may differ.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <utility>
 #include <vector>
@@ -293,6 +294,62 @@ TEST(ScatterRound, MixedOutcomesMatchSequentialVerdictsExactly) {
   }
 }
 
+TEST(ScatterRound, CrashRecoverRoundsMatchSequentialFetchLoop) {
+  // One back end crashes at 50ms and recovers at 400ms while a poller
+  // starts a round every 30ms (longer than a round with one failing
+  // target, so both engines start every round at the same instant).
+  // Every round of the scatter engine must reach the same per-backend
+  // (ok, error, attempts) as a loop of blocking fetch() calls, the
+  // paper's sequential sweep.
+  auto run = [](bool scatter_mode) {
+    ChannelEnv env(std::vector<MonitorConfig>(3, fast_cfg(Scheme::RdmaSync)));
+    const int victim_node = env.backends[1]->id;
+    env.simu.at(sim::TimePoint{msec(50).ns},
+                [&] { env.fabric.inject_crash(victim_node); });
+    env.simu.at(sim::TimePoint{msec(400).ns},
+                [&] { env.fabric.inject_recover(victim_node); });
+    monitor::ScatterFetcher scatter;
+    for (auto& ch : env.channels) scatter.add(ch->frontend());
+    std::vector<std::string> rounds;
+    env.frontend.spawn("poller", [&](SimThread& self) -> Program {
+      std::vector<MonitorSample> samples(env.channels.size());
+      for (sim::TimePoint start{};; start = start + msec(30)) {
+        co_await os::SleepUntil{start};
+        if (scatter_mode) {
+          co_await scatter.round_all(self, samples);
+        } else {
+          for (std::size_t i = 0; i < env.channels.size(); ++i) {
+            co_await env.channels[i]->frontend().fetch(self, samples[i]);
+          }
+        }
+        std::string verdicts;
+        for (const MonitorSample& s : samples) {
+          verdicts += s.ok ? "ok/" : "fail/";
+          verdicts += monitor::to_string(s.error);
+          verdicts += '/';
+          verdicts += std::to_string(s.attempts);
+          verdicts += ' ';
+        }
+        rounds.push_back(std::move(verdicts));
+      }
+    });
+    env.simu.run_for(seconds(1));
+    return rounds;
+  };
+  const std::vector<std::string> scat = run(true);
+  const std::vector<std::string> seq = run(false);
+  ASSERT_EQ(scat.size(), seq.size());
+  for (std::size_t r = 0; r < scat.size(); ++r) {
+    EXPECT_EQ(scat[r], seq[r]) << "round " << r;
+  }
+  // The window really spans crash and recovery.
+  EXPECT_EQ(scat.front().find("fail"), std::string::npos);
+  EXPECT_TRUE(std::any_of(scat.begin(), scat.end(), [](const std::string& v) {
+    return v.find("fail") != std::string::npos;
+  }));
+  EXPECT_EQ(scat.back().find("fail"), std::string::npos);
+}
+
 TEST(ScatterRound, FastPathVerdictsMatchDedicatedUnderCrash) {
   // The verbs fast path (shared contexts + signal-every-k + CQ
   // moderation) may only change what a round COSTS, never what it
@@ -359,10 +416,9 @@ struct LbEnv {
   std::vector<std::unique_ptr<os::Node>> backends;
   lb::LoadBalancer lb{lb::WeightConfig::for_scheme(Scheme::RdmaSync)};
 
-  LbEnv(Scheme scheme, lb::PollMode mode, lb::HealthConfig hc = {}) {
+  explicit LbEnv(Scheme scheme, lb::HealthConfig hc = {}) {
     fabric.attach(frontend);
     lb.set_health_config(hc);
-    lb.set_poll_mode(mode);
     for (int i = 0; i < kBackends; ++i) {
       os::NodeConfig cfg;
       cfg.name = "backend" + std::to_string(i);
@@ -375,33 +431,24 @@ struct LbEnv {
   }
 };
 
-TEST(PollModeParity, HealthTransitionsMatchAcrossModes) {
-  // Crash -> recover one back end; both poll modes must walk the same
-  // health transition sequence for every back end.
-  auto run = [](lb::PollMode mode) {
-    LbEnv env(Scheme::RdmaSync, mode);
-    std::vector<std::string> trace;
-    env.lb.on_health_change([&](int b, lb::BackendHealth h) {
-      trace.push_back(std::to_string(b) + ":" + lb::to_string(h));
-    });
-    const int victim_node = env.backends[1]->id;
-    env.simu.at(sim::TimePoint{msec(50).ns},
-                [&] { env.fabric.inject_crash(victim_node); });
-    env.simu.at(sim::TimePoint{msec(400).ns},
-                [&] { env.fabric.inject_recover(victim_node); });
-    env.simu.run_for(seconds(1));
-    trace.push_back("final:" +
-                    std::string(lb::to_string(env.lb.health_of(1))));
-    return trace;
-  };
-  const auto scatter = run(lb::PollMode::Scatter);
-  const auto sequential = run(lb::PollMode::Sequential);
-  EXPECT_EQ(scatter, sequential);
-  ASSERT_GE(scatter.size(), 4u);
-  EXPECT_EQ(scatter[0], "1:suspect");
-  EXPECT_EQ(scatter[1], "1:dead");
-  EXPECT_EQ(scatter[2], "1:healthy");
-  EXPECT_EQ(scatter.back(), "final:healthy");
+TEST(LoadBalancerHealth, CrashThenRecoverWalksSuspectDeadHealthy) {
+  // Crash -> recover one back end: the poller walks exactly that back
+  // end down the ladder and back, and leaves the others alone.
+  LbEnv env(Scheme::RdmaSync);
+  std::vector<std::string> trace;
+  env.lb.on_health_change([&](int b, lb::BackendHealth h) {
+    trace.push_back(std::to_string(b) + ":" + lb::to_string(h));
+  });
+  const int victim_node = env.backends[1]->id;
+  env.simu.at(sim::TimePoint{msec(50).ns},
+              [&] { env.fabric.inject_crash(victim_node); });
+  env.simu.at(sim::TimePoint{msec(400).ns},
+              [&] { env.fabric.inject_recover(victim_node); });
+  env.simu.run_for(seconds(1));
+  trace.push_back("final:" + std::string(lb::to_string(env.lb.health_of(1))));
+  const std::vector<std::string> want = {"1:suspect", "1:dead", "1:healthy",
+                                         "final:healthy"};
+  EXPECT_EQ(trace, want);
 }
 
 TEST(DeadProbeCadence, DeadBackendIsProbedEveryNthRoundOnly) {
@@ -410,7 +457,7 @@ TEST(DeadProbeCadence, DeadBackendIsProbedEveryNthRoundOnly) {
   auto failures_in_window = [](int dead_probe_every) {
     lb::HealthConfig hc;
     hc.dead_probe_every = dead_probe_every;
-    LbEnv env(Scheme::RdmaSync, lb::PollMode::Scatter, hc);
+    LbEnv env(Scheme::RdmaSync, hc);
     env.fabric.inject_crash(env.backends[1]->id);
     env.simu.run_for(msec(200));  // long past detection
     const std::uint64_t at_dead = env.lb.fetch_failures();
@@ -434,7 +481,6 @@ TEST(Determinism, ScatterClusterRunWithRandomFaultPlanReplaysExactly) {
     web::ClusterConfig cfg;
     cfg.backends = 3;
     cfg.scheme = scheme;
-    cfg.lb_poll_mode = lb::PollMode::Scatter;
     cfg.fetch_timeout = msec(10);
     cfg.fetch_retries = 1;
     cfg.retry_backoff = msec(2);

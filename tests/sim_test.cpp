@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cmath>
 #include <vector>
 
 #include "sim/event_queue.hpp"
@@ -9,7 +8,6 @@
 #include "sim/simulation.hpp"
 #include "sim/stats.hpp"
 #include "sim/time.hpp"
-#include "sim/trace.hpp"
 
 namespace rdmamon::sim {
 namespace {
@@ -214,30 +212,6 @@ TEST(Zipf, GuideTableSampleMatchesFirstCdfEntryContract) {
   }
 }
 
-TEST(Zipf, AliasMethodMatchesPmfStatistically) {
-  // Walker alias draws a different stream, so it is pinned statistically:
-  // empirical frequencies must track the exact pmf across the whole
-  // support, head and tail alike.
-  const std::size_t n = 200;
-  ZipfDistribution z(n, 0.8, ZipfDistribution::Method::kAlias);
-  EXPECT_EQ(z.method(), ZipfDistribution::Method::kAlias);
-  Rng r(23);
-  std::vector<int> counts(n + 1, 0);
-  const int samples = 500'000;
-  for (int i = 0; i < samples; ++i) {
-    const std::size_t rank = z.sample(r);
-    ASSERT_GE(rank, 1u);
-    ASSERT_LE(rank, n);
-    ++counts[rank];
-  }
-  for (std::size_t i = 1; i <= n; ++i) {
-    const double expect = z.pmf(i) * samples;
-    // ~5-sigma binomial envelope plus a small absolute floor.
-    const double tol = 5.0 * std::sqrt(expect) + 3.0;
-    EXPECT_NEAR(static_cast<double>(counts[i]), expect, tol) << "rank " << i;
-  }
-}
-
 TEST(Stats, OnlineMeanVarianceMinMax) {
   OnlineStats st;
   for (double v : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) st.add(v);
@@ -330,83 +304,6 @@ TEST(Stats, HistogramMergeAndReset) {
   a.reset();
   EXPECT_EQ(a.count(), 0u);
   EXPECT_DOUBLE_EQ(a.percentile(0.5), 0.0);
-}
-
-TEST(Stats, TimeWeightedMean) {
-  TimeWeighted tw;
-  tw.set(TimePoint{0}, 0.0);
-  tw.set(TimePoint{100}, 1.0);   // 0 for 100ns
-  tw.set(TimePoint{300}, 0.5);   // 1 for 200ns
-  // then 0.5 for 100ns until t=400
-  EXPECT_NEAR(tw.mean_until(TimePoint{400}), (0 * 100 + 1 * 200 + 0.5 * 100) / 400.0, 1e-12);
-  EXPECT_DOUBLE_EQ(tw.current(), 0.5);
-}
-
-TEST(Stats, TimeSeriesAggregates) {
-  TimeSeries ts;
-  ts.add(TimePoint{1}, 2.0);
-  ts.add(TimePoint{2}, 6.0);
-  EXPECT_DOUBLE_EQ(ts.value_mean(), 4.0);
-  EXPECT_DOUBLE_EQ(ts.value_max(), 6.0);
-  EXPECT_EQ(ts.size(), 2u);
-}
-
-TEST(Trace, RoutesThroughSinkWithTimestamp) {
-  Simulation s;
-  Tracer tr;
-  std::vector<std::string> lines;
-  tr.enable(
-      TraceLevel::Info, [&](const std::string& l) { lines.push_back(l); },
-      [&] { return s.now(); });
-  tr.debug("x", "hidden");  // below level
-  tr.info("net", "packet sent");
-  ASSERT_EQ(lines.size(), 1u);
-  EXPECT_NE(lines[0].find("[net]"), std::string::npos);
-  EXPECT_NE(lines[0].find("packet sent"), std::string::npos);
-  tr.disable();
-  tr.warn("net", "dropped");
-  EXPECT_EQ(lines.size(), 1u);
-}
-
-TEST(Trace, LazyOverloadSkipsMessageConstructionWhenSuppressed) {
-  Simulation s;
-  Tracer tr;
-  std::vector<std::string> lines;
-  int built = 0;
-  auto make = [&] {
-    ++built;
-    return std::string("expensive message");
-  };
-
-  // Disabled tracer: the callable must never run.
-  tr.debug("net", make);
-  EXPECT_EQ(built, 0);
-
-  tr.enable(
-      TraceLevel::Info, [&](const std::string& l) { lines.push_back(l); },
-      [&] { return s.now(); });
-  tr.debug("net", make);  // below level: still not built
-  EXPECT_EQ(built, 0);
-  tr.info("net", make);  // emitted: built exactly once
-  EXPECT_EQ(built, 1);
-  ASSERT_EQ(lines.size(), 1u);
-  EXPECT_NE(lines[0].find("expensive message"), std::string::npos);
-  tr.warn("net", make);  // warn >= info: emitted too
-  EXPECT_EQ(built, 2);
-  EXPECT_EQ(lines.size(), 2u);
-}
-
-TEST(Trace, WouldEmitRequiresLevelAndSink) {
-  Simulation s;
-  Tracer tr;
-  EXPECT_FALSE(tr.would_emit(TraceLevel::Warn));  // no sink, level Off
-  tr.enable(
-      TraceLevel::Warn, [](const std::string&) {},
-      [&] { return s.now(); });
-  EXPECT_FALSE(tr.would_emit(TraceLevel::Info));
-  EXPECT_TRUE(tr.would_emit(TraceLevel::Warn));
-  tr.disable();
-  EXPECT_FALSE(tr.would_emit(TraceLevel::Warn));
 }
 
 }  // namespace

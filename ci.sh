@@ -6,6 +6,8 @@
 #   ./ci.sh bench      # quick benches + BENCH_*.json checks + golden traces
 #   ./ci.sh perf       # Release build, DES-kernel perf smoke (bench_engine)
 #   ./ci.sh slo        # freshness plane only: ctest -L slo + bench_freshness
+#   ./ci.sh perfbench  # repository benchmark smoke: perfbench_test + one
+#                      # short run per workload, gated on its own checks
 #
 # Tests carrying ctest LABELS slow (golden-trace bench replays) are kept
 # out of tier-1 to hold its wall-clock; they run in the sanitize and
@@ -152,6 +154,28 @@ for row in doc["results"]:
     assert row["age_p99_us"] >= row["age_p50_us"] > 0, row
 print("BENCH_freshness.json: valid")
 EOF
+elif [[ "${1:-}" == "perfbench" ]]; then
+  # Repository benchmark smoke: build the perfbench package, run its own
+  # tests, then one short untraced run per workload. A run whose output
+  # checks or cross-process digest check fail reports correct: false
+  # (and exits non-zero); a workload with failed operations fails too.
+  cmake -S perfbench -B .bench_build/perfbench -DCMAKE_BUILD_TYPE=Release
+  cmake --build .bench_build/perfbench -j "$jobs"
+  ctest --test-dir .bench_build/perfbench --output-on-failure
+  mkdir -p bench-results
+  for w in rubis_zipf monitor_pull monitor_push; do
+    python3 perfbench/run.py --workload "$w" --seed 2 --seconds 1 --trace 0 \
+      | tail -n 1 > "bench-results/perfbench_$w.json"
+    python3 - "bench-results/perfbench_$w.json" <<'EOF'
+import json
+import sys
+doc = json.load(open(sys.argv[1]))
+print(f"{sys.argv[1]}: correct={doc['correct']} attempted={doc['attempted']} "
+      f"failed={doc['failed']}")
+assert doc["correct"], "perfbench output or digest check failed"
+assert doc["failed"] == 0, "perfbench workload had failed operations"
+EOF
+  done
 elif [[ "${1:-}" == "perf" ]]; then
   # DES-kernel perf smoke: Release build, quick bench_engine run. The
   # binary itself exits non-zero if the timer-wheel kernel heap-allocates

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <limits>
 
 namespace rdmamon::lb {
 
@@ -29,8 +30,12 @@ void LoadBalancer::add_backend(
     std::unique_ptr<monitor::MonitorChannel> channel) {
   channels_.push_back(std::move(channel));
   samples_.emplace_back();
+  index_.push_back(0.0);  // no data yet: assume idle
   health_.emplace_back();
+  ++alive_;
   wrr_credit_.push_back(0.0);
+  weight_.push_back(0.0);
+  weights_stale_ = true;
   view_src_.push_back(ViewSource::Pull);
   lineage_.emplace_back();
 }
@@ -73,12 +78,11 @@ sim::Duration LoadBalancer::view_age(std::size_t i) const {
   return simu_->now() - samples_[i].info.computed_at;
 }
 
-int LoadBalancer::alive_backends() const {
-  int n = 0;
-  for (const Health& h : health_) {
-    if (h.state != BackendHealth::Dead) ++n;
-  }
-  return n;
+void LoadBalancer::note_transition(BackendHealth before,
+                                   BackendHealth after) {
+  if (before == BackendHealth::Dead) ++alive_;
+  if (after == BackendHealth::Dead) --alive_;
+  weights_stale_ = true;
 }
 
 void LoadBalancer::record_fetch(std::size_t i, bool ok) {
@@ -106,6 +110,7 @@ void LoadBalancer::record_fetch(std::size_t i, bool ok) {
     }
   }
   if (h.state != before) {
+    note_transition(before, h.state);
     if (reg_ != nullptr) {
       telemetry::add(h.state == BackendHealth::Healthy ? m_to_healthy_
                      : h.state == BackendHealth::Suspect
@@ -129,6 +134,8 @@ void LoadBalancer::apply_sample(std::size_t i,
   record_fetch(i, s.ok);
   if (s.ok) {
     samples_[i] = s;
+    index_[i] = load_index(s.info, weights_);
+    weights_stale_ = true;
     view_src_[i] = src;
     // The fetch-latency statistic measures THIS front end's monitoring
     // path; a gossiped sample rode a peer's fetch plus a view READ, so
@@ -154,6 +161,7 @@ void LoadBalancer::reset_health(std::size_t i) {
   const BackendHealth before = h.state;
   h = Health{};
   if (before != BackendHealth::Healthy) {
+    note_transition(before, BackendHealth::Healthy);
     if (reg_ != nullptr) {
       telemetry::add(m_to_healthy_);
       telemetry::span_event(reg_, "lb", "health",
@@ -188,14 +196,12 @@ monitor::FetchMode LoadBalancer::fetch_mode(std::size_t i) const {
   return adaptive_ ? adaptive_->mode(i) : push_cfg_.adaptive.initial;
 }
 
-std::size_t LoadBalancer::push_prepass(std::vector<std::size_t>& targets,
-                                       sim::TimePoint now) {
-  std::vector<std::size_t> pulls;
-  pulls.reserve(targets.size());
+std::size_t LoadBalancer::push_prepass(sim::TimePoint now) {
+  std::size_t pulls = 0;  // targets_[0, pulls) keep a wire fetch
   std::size_t scanned = 0;
-  for (std::size_t i : targets) {
+  for (std::size_t i : targets_) {
     if (fetch_mode(i) == monitor::FetchMode::Pull) {
-      pulls.push_back(i);
+      targets_[pulls++] = i;
       continue;
     }
     ++scanned;
@@ -218,10 +224,10 @@ std::size_t LoadBalancer::push_prepass(std::vector<std::size_t>& targets,
         push_cfg_.silence_bound) {
       ++push_verifications_;
       if (reg_ != nullptr) telemetry::add(m_push_verify_);
-      pulls.push_back(i);
+      targets_[pulls++] = i;
     }
   }
-  targets = std::move(pulls);
+  targets_.resize(pulls);
   return scanned;
 }
 
@@ -260,20 +266,17 @@ os::Program LoadBalancer::scanner_body(os::SimThread& self) {
   (void)self;
 }
 
-std::vector<std::size_t> LoadBalancer::poll_targets(
-    std::uint64_t round) const {
+void LoadBalancer::poll_targets(std::uint64_t round) {
   const int every = health_cfg_.dead_probe_every;
   const bool probe_dead =
       every <= 1 || round % static_cast<std::uint64_t>(every) == 0;
-  std::vector<std::size_t> targets;
-  targets.reserve(channels_.size());
+  targets_.clear();
   for (std::size_t i = 0; i < channels_.size(); ++i) {
     if (poll_filter_ && !poll_filter_(i)) continue;  // not our shard
     if (probe_dead || health_[i].state != BackendHealth::Dead) {
-      targets.push_back(i);
+      targets_.push_back(i);
     }
   }
-  return targets;
 }
 
 void LoadBalancer::start(os::Node& frontend, sim::Duration granularity) {
@@ -403,52 +406,45 @@ os::Program LoadBalancer::poller_body(os::SimThread& self,
   // pull-mode ones plus silence verifications go to the wire.
   sim::Simulation& simu = self.node().simu();
   for (std::uint64_t round = 0;; ++round) {
-    std::vector<std::size_t> targets = poll_targets(round);
+    poll_targets(round);
     if (push_inbox_ != nullptr) {
-      const std::size_t scanned = push_prepass(targets, simu.now());
+      const std::size_t scanned = push_prepass(simu.now());
       if (scanned > 0) {
         co_await os::Compute{push_cfg_.scan_cost *
                              static_cast<std::int64_t>(scanned)};
       }
     }
-    co_await scatter_.round(self, targets, round_buf_);
-    for (std::size_t i : targets) {
+    co_await scatter_.round(self, targets_, round_buf_);
+    for (std::size_t i : targets_) {
       apply_sample(i, round_buf_[i]);
       if (adaptive_ && round_buf_[i].ok) {
         adaptive_->on_pull_sample(i, round_buf_[i].info);
       }
     }
-    for (const auto& cb : round_cbs_) cb(targets);
+    for (const auto& cb : round_cbs_) cb(targets_);
     if (adaptive_) adaptive_->tick(simu.now());
     co_await os::SleepFor{granularity};
   }
 }
 
-int LoadBalancer::pick() {
-  assert(!channels_.empty());
-  const int n = backends();
-  // Smooth weighted round-robin (nginx-style): every pick adds each
-  // server's weight to its credit, the highest credit wins and pays back
-  // the total. Deterministic, spreads proportionally, avoids dog-piling.
+void LoadBalancer::refresh_weights() {
   constexpr double kFloor = 0.02;
   // Dead back ends leave the rotation entirely — unless every back end is
   // dead, in which case routing somewhere beats dropping on the floor.
-  const bool any_alive = alive_backends() > 0;
-  auto in_rotation = [&](int i) {
-    return !any_alive || health_of(i) != BackendHealth::Dead;
+  const bool any_alive = alive_ > 0;
+  auto in_rotation = [&](std::size_t i) {
+    return !any_alive || health_[i].state != BackendHealth::Dead;
   };
-  double total = 0.0;
-  int winner = -1;
-  double winner_w = 0.0;
   bool any_ok = false;
-  for (int i = 0; i < n; ++i) {
-    if (in_rotation(i) && index_of(i) < weights_.overload_cutoff) {
+  for (std::size_t i = 0; i < channels_.size(); ++i) {
+    if (in_rotation(i) && index_[i] < weights_.overload_cutoff) {
       any_ok = true;
       break;
     }
   }
-  for (int i = 0; i < n; ++i) {
-    const double idx = index_of(i);
+  weight_total_ = 0.0;
+  for (std::size_t i = 0; i < channels_.size(); ++i) {
+    const double idx = index_[i];
     // Overloaded servers leave the rotation while at least one healthy
     // server remains; Suspect ones keep only the floor weight.
     double w;
@@ -456,23 +452,40 @@ int LoadBalancer::pick() {
       w = 0.0;
     } else if (any_ok && idx >= weights_.overload_cutoff) {
       w = 0.0;
-    } else if (health_of(i) == BackendHealth::Suspect) {
+    } else if (health_[i].state == BackendHealth::Suspect) {
       w = kFloor;
     } else {
       w = std::max(kFloor, 1.0 - idx);
     }
-    wrr_credit_[static_cast<std::size_t>(i)] += w;
-    total += w;
-    if (w > 0.0 &&
-        (winner < 0 || wrr_credit_[static_cast<std::size_t>(i)] >
-                           wrr_credit_[static_cast<std::size_t>(winner)])) {
-      winner = i;
-      winner_w = w;
+    weight_[i] = w;
+    weight_total_ += w;  // in index order: credits depend on the exact sum
+  }
+  weights_stale_ = false;
+}
+
+int LoadBalancer::pick() {
+  assert(!channels_.empty());
+  // Smooth weighted round-robin (nginx-style): every pick adds each
+  // server's weight to its credit, the highest credit wins and pays back
+  // the total. Deterministic, spreads proportionally, avoids dog-piling.
+  // The weights change only with a new sample or a health transition, so
+  // they are recomputed then, not per pick.
+  if (weights_stale_) refresh_weights();
+  int best = -1;
+  double best_credit = -std::numeric_limits<double>::infinity();
+  for (std::size_t i = 0; i < channels_.size(); ++i) {
+    const double credit = wrr_credit_[i] + weight_[i];
+    wrr_credit_[i] = credit;
+    if (weight_[i] > 0.0 && credit > best_credit) {
+      best = static_cast<int>(i);
+      best_credit = credit;
     }
   }
-  const char* reason = winner < 0 ? "fallback" : "wrr";
-  if (winner < 0) winner = 0;
-  wrr_credit_[static_cast<std::size_t>(winner)] -= total;
+  const char* reason = best < 0 ? "fallback" : "wrr";
+  const int winner = best < 0 ? 0 : best;
+  const double winner_w =
+      best < 0 ? 0.0 : weight_[static_cast<std::size_t>(winner)];
+  wrr_credit_[static_cast<std::size_t>(winner)] -= weight_total_;
   if (reg_ != nullptr) {
     telemetry::add(m_pick_[static_cast<std::size_t>(winner)]);
     telemetry::observe(m_pick_weight_, winner_w);
@@ -502,12 +515,6 @@ int LoadBalancer::pick() {
     if (dispatch_log_.size() > dispatch_log_cap_) dispatch_log_.pop_front();
   }
   return winner;
-}
-
-double LoadBalancer::index_of(int backend) const {
-  const auto& s = samples_[static_cast<std::size_t>(backend)];
-  if (!s.ok) return 0.0;  // no data yet: assume idle
-  return load_index(s.info, weights_);
 }
 
 }  // namespace rdmamon::lb

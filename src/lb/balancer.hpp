@@ -244,18 +244,24 @@ class LoadBalancer {
   int pick();
 
   int backends() const { return static_cast<int>(channels_.size()); }
-  double index_of(int backend) const;
+  double index_of(int backend) const {
+    return index_[static_cast<std::size_t>(backend)];
+  }
   const monitor::MonitorSample& last_sample(int backend) const {
     return samples_[static_cast<std::size_t>(backend)];
   }
   const WeightConfig& weights() const { return weights_; }
+  /// Back end `backend`'s smooth weighted round-robin credit.
+  double wrr_credit(int backend) const {
+    return wrr_credit_[static_cast<std::size_t>(backend)];
+  }
 
   // --- failure detection ---------------------------------------------------
   BackendHealth health_of(int backend) const {
     return health_[static_cast<std::size_t>(backend)].state;
   }
   /// Back ends currently in rotation (not Dead).
-  int alive_backends() const;
+  int alive_backends() const { return alive_; }
   /// Total failed fetches seen by the poller.
   std::uint64_t fetch_failures() const { return fetch_failures_; }
   /// Registers an observer of health transitions (several may register;
@@ -310,12 +316,11 @@ class LoadBalancer {
 
   os::Program poller_body(os::SimThread& self, sim::Duration granularity);
   /// Push-strategy pre-pass of one round: scans the inbox slots of
-  /// push-mode targets, applies Fresh images, and rewrites `targets` to
-  /// the subset still needing a wire fetch (pull-mode + silence
+  /// push-mode targets, applies Fresh images, and narrows targets_ in
+  /// place to the subset still needing a wire fetch (pull-mode + silence
   /// verifications). Returns the number of slots scanned (CPU cost is
   /// charged by the caller).
-  std::size_t push_prepass(std::vector<std::size_t>& targets,
-                           sim::TimePoint now);
+  std::size_t push_prepass(sim::TimePoint now);
   /// Dedicated inbox scanner (push_cfg_.scan_period > 0): sweeps every
   /// push-mode slot far more often than the wire polls run, so pushed
   /// changes reach the view at memory-read latency. Verification and the
@@ -328,9 +333,15 @@ class LoadBalancer {
   void record_fetch(std::size_t i, bool ok);
   void apply_sample(std::size_t i, const monitor::MonitorSample& s,
                     bool local = true, ViewSource src = ViewSource::Pull);
-  /// Targets of poll round `round`: every live back end, plus the Dead
-  /// ones on the dead-probe cadence.
-  std::vector<std::size_t> poll_targets(std::uint64_t round) const;
+  /// Fills targets_ for poll round `round`: every live back end, plus the
+  /// Dead ones on the dead-probe cadence.
+  void poll_targets(std::uint64_t round);
+  /// Keeps alive_ and the weights in step with one back end's health
+  /// transition.
+  void note_transition(BackendHealth before, BackendHealth after);
+  /// Recomputes every back end's smooth-WRR weight and their total from
+  /// the cached indices and health states.
+  void refresh_weights();
 
   WeightConfig weights_;
   HealthConfig health_cfg_;
@@ -343,12 +354,22 @@ class LoadBalancer {
   os::SimThread* scanner_thread_ = nullptr;
   std::vector<std::unique_ptr<monitor::MonitorChannel>> channels_;
   std::vector<monitor::MonitorSample> samples_;
+  /// load_index of samples_[i] (0 before its first good sample), cached
+  /// by apply_sample, the only writer of samples_.
+  std::vector<double> index_;
   std::vector<Health> health_;
+  int alive_ = 0;  ///< back ends not Dead, kept by note_transition
   std::vector<double> wrr_credit_;  // smooth weighted-RR state
+  /// Each back end's smooth-WRR weight and their total, summed in index
+  /// order; stale after a new sample or a health transition.
+  std::vector<double> weight_;
+  double weight_total_ = 0.0;
+  bool weights_stale_ = true;
   std::vector<std::function<void(int, BackendHealth)>> health_cbs_;
   std::uint64_t fetch_failures_ = 0;
   sim::OnlineStats fetch_lat_;
   monitor::ScatterFetcher scatter_;  ///< joined at start()
+  std::vector<std::size_t> targets_;  ///< the current poll round's targets
   std::vector<monitor::MonitorSample> round_buf_;
   // Push / adaptive strategy state (enable_push).
   monitor::PushInbox* push_inbox_ = nullptr;  ///< not owned

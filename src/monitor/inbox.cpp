@@ -196,6 +196,7 @@ os::Program PushPublisher::body(os::SimThread& self) {
     image.heartbeat = !change_push;
     image.seq_check = seq_;
     co_await os::Compute{net::kDoorbellCost};
+    net::count_doorbell(qp_->context().nic(), 1);
     qp_->post_write(inbox_key_, std::any(InboxWrite{slot_, image}),
                     cfg_.slot_bytes, cq_.alloc_wr_id());
     in_flight_ = true;

@@ -197,6 +197,7 @@ os::Program FrontendMonitor::issue(os::SimThread& self, FetchOp& op,
   if (qp_) {
     op.wr_id = cq_->alloc_wr_id();
     co_await os::Compute{net::kDoorbellCost};
+    net::count_doorbell(qp_->context().nic(), 1);
     qp_->post_read(backend_->mr_key(), cfg.reply_bytes, op.wr_id);
   } else {
     // The monitoring protocol carries no sequence numbers, so a reply to
@@ -230,19 +231,8 @@ os::Program FrontendMonitor::complete(os::SimThread& self, FetchOp& op,
                                       MonitorSample& out, OpStatus status) {
   assert(status != OpStatus::Pending && "complete() requires a resolution");
   if (qp_) {
-    net::Completion c;
-    const bool got = cq_->try_pop(op.wr_id, c);
-    assert(got && "peek() said resolved but the completion is gone");
-    (void)got;
-    if (c.status != net::WcStatus::Success) {
-      out.ok = false;
-      out.error = FetchError::Transport;
-    } else {
-      out.info = std::any_cast<os::LoadSnapshot>(c.data);
-      out.ok = true;
-      out.error = FetchError::None;
-    }
-    co_return;  // reaping a completion costs no simulated CPU
+    reap(op, out);
+    co_return;
   }
   net::Message reply;
   co_await sock_->recv_ready(self, reply);
@@ -250,6 +240,21 @@ os::Program FrontendMonitor::complete(os::SimThread& self, FetchOp& op,
   out.ok = true;
   out.error = FetchError::None;
   (void)status;
+}
+
+void FrontendMonitor::reap(FetchOp& op, MonitorSample& out) {
+  net::Completion c;
+  const bool got = cq_->try_pop(op.wr_id, c);
+  assert(got && "peek() said resolved but the completion is gone");
+  (void)got;
+  if (c.status != net::WcStatus::Success) {
+    out.ok = false;
+    out.error = FetchError::Transport;
+  } else {
+    out.info = std::any_cast<const os::LoadSnapshot&>(c.data);
+    out.ok = true;
+    out.error = FetchError::None;
+  }
 }
 
 void FrontendMonitor::abandon(FetchOp& op) {

@@ -180,6 +180,11 @@ class FrontendMonitor {
   os::Program complete(os::SimThread& self, FetchOp& op, MonitorSample& out,
                        OpStatus status);
 
+  /// RDMA only: complete() as a plain call. Reaping a completion costs no
+  /// simulated time, so a caller that knows the transport (the scatter
+  /// engine) skips the subprogram frame.
+  void reap(FetchOp& op, MonitorSample& out);
+
   /// Abandons an attempt past its deadline. RDMA: the wr_id is forgotten
   /// at the CQ, which discards the late completion centrally. Sockets: a
   /// late reply stays queued and is flushed by the next issue().

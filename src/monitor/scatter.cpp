@@ -55,19 +55,6 @@ std::size_t ScatterFetcher::add(FrontendMonitor& m) {
 os::Program ScatterFetcher::round(os::SimThread& self,
                                   const std::vector<std::size_t>& which,
                                   std::vector<MonitorSample>& out) {
-  // Per-target attempt state machine: Issue -> Wait -> (Done | Backoff),
-  // Backoff -> Issue. The round ends when every slot is Done.
-  enum class State { Issue, Wait, Backoff, Done };
-  struct Slot {
-    FrontendMonitor* mon = nullptr;
-    MonitorSample* out = nullptr;
-    FrontendMonitor::FetchOp op;
-    State state = State::Issue;
-    int attempt = 0;
-    sim::Duration backoff{};
-    sim::TimePoint resume_at{};  ///< Backoff: when to re-issue
-  };
-
   sim::Simulation& simu = self.node().simu();
   if (out.size() < targets_.size()) out.resize(targets_.size());
   if (!metrics_resolved_) resolve_metrics(simu);
@@ -76,8 +63,7 @@ os::Program ScatterFetcher::round(os::SimThread& self,
   telemetry::add(m_rounds_);
   telemetry::observe(m_round_slots_, static_cast<double>(which.size()));
 
-  std::vector<Slot> slots;
-  slots.reserve(which.size());
+  slots_.clear();
   for (std::size_t i : which) {
     Slot s;
     s.mon = targets_[i];
@@ -85,7 +71,7 @@ os::Program ScatterFetcher::round(os::SimThread& self,
     *s.out = MonitorSample{};
     s.out->requested_at = simu.now();
     s.backoff = s.mon->config().retry_backoff;
-    slots.push_back(s);
+    slots_.push_back(s);
   }
 
   // Telemetry: one slot reached its verdict (ok or exhausted).
@@ -113,26 +99,25 @@ os::Program ScatterFetcher::round(os::SimThread& self,
     }
   };
 
-  std::vector<net::ReadBatchEntry> batch;
   for (;;) {
     // Issue wave: every Issue slot starts one bounded attempt. RDMA
     // attempts merge into a single multi-READ post (one doorbell for the
     // lot); socket attempts go out one per connection.
-    batch.clear();
+    batch_.clear();
     std::size_t wave = 0;
-    for (Slot& s : slots) {
+    for (Slot& s : slots_) {
       if (s.state != State::Issue) continue;
       s.out->attempts = ++s.attempt;
       ++wave;
       const sim::TimePoint dl = attempt_deadline(s.mon->config(), simu.now());
       if (s.mon->is_rdma_transport()) {
-        batch.push_back(s.mon->prepare_read(s.op, dl));
+        batch_.push_back(s.mon->prepare_read(s.op, dl));
       } else {
         co_await s.mon->issue(self, s.op, dl);
       }
       s.state = State::Wait;
     }
-    co_await net::post_read_batch(self, batch);
+    if (!batch_.empty()) co_await net::post_read_batch(self, batch_);
     if (wave > 0) {
       telemetry::observe(m_wave_width_, static_cast<double>(wave));
     }
@@ -141,17 +126,22 @@ os::Program ScatterFetcher::round(os::SimThread& self,
     bool all_done = true;
     bool any_issue = false;
     sim::TimePoint next_wake = kNever;
-    for (Slot& s : slots) {
+    for (Slot& s : slots_) {
       if (s.state == State::Wait) {
         const FrontendMonitor::OpStatus st = s.mon->peek(s.op);
-        if (st == FrontendMonitor::OpStatus::Ok) {
-          co_await s.mon->complete(self, s.op, *s.out, st);
-          s.state = State::Done;
-          s.out->retrieved_at = simu.now();
-          slot_done(s);
-        } else if (st == FrontendMonitor::OpStatus::Transport) {
-          co_await s.mon->complete(self, s.op, *s.out, st);
-          fail(s, FetchError::Transport);
+        if (st != FrontendMonitor::OpStatus::Pending) {
+          if (s.mon->is_rdma_transport()) {
+            s.mon->reap(s.op, *s.out);
+          } else {
+            co_await s.mon->complete(self, s.op, *s.out, st);
+          }
+          if (st == FrontendMonitor::OpStatus::Ok) {
+            s.state = State::Done;
+            s.out->retrieved_at = simu.now();
+            slot_done(s);
+          } else {
+            fail(s, FetchError::Transport);
+          }
         } else if (simu.now() >= s.op.deadline) {
           s.mon->abandon(s.op);
           fail(s, FetchError::Timeout);
@@ -198,9 +188,11 @@ os::Program ScatterFetcher::round(os::SimThread& self,
 
 os::Program ScatterFetcher::round_all(os::SimThread& self,
                                       std::vector<MonitorSample>& out) {
-  std::vector<std::size_t> all(targets_.size());
-  for (std::size_t i = 0; i < all.size(); ++i) all[i] = i;
-  co_await round(self, all, out);
+  if (all_.size() != targets_.size()) {
+    all_.resize(targets_.size());
+    for (std::size_t i = 0; i < all_.size(); ++i) all_[i] = i;
+  }
+  co_await round(self, all_, out);
 }
 
 }  // namespace rdmamon::monitor

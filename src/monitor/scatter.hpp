@@ -35,7 +35,8 @@ class ScatterFetcher {
   /// Subprogram: one scatter round over the targets listed in `which`
   /// (indices from add()). Fills out[i] for each i in `which`; `out` is
   /// resized to size() if smaller. Every listed target resolves (ok, or
-  /// error with attempts spent) before the round returns.
+  /// error with attempts spent) before the round returns. One round at a
+  /// time per engine: rounds reuse the engine's scratch storage.
   os::Program round(os::SimThread& self, const std::vector<std::size_t>& which,
                     std::vector<MonitorSample>& out);
 
@@ -47,11 +48,29 @@ class ScatterFetcher {
   net::CompletionQueue& cq() { return cq_; }
 
  private:
+  /// Per-target attempt state machine: Issue -> Wait -> (Done | Backoff),
+  /// Backoff -> Issue. A round ends when every slot is Done.
+  enum class State { Issue, Wait, Backoff, Done };
+  struct Slot {
+    FrontendMonitor* mon = nullptr;
+    MonitorSample* out = nullptr;
+    FrontendMonitor::FetchOp op;
+    State state = State::Issue;
+    int attempt = 0;
+    sim::Duration backoff{};
+    sim::TimePoint resume_at{};  ///< Backoff: when to re-issue
+  };
+
   /// Caches instrument pointers and binds the CQ collector on the first
   /// round (no-op without a registry).
   void resolve_metrics(sim::Simulation& simu);
 
   std::vector<FrontendMonitor*> targets_;
+  // Round scratch, kept between rounds so a steady-state round allocates
+  // nothing: the slots, the merged READ batch, round_all's index list.
+  std::vector<Slot> slots_;
+  std::vector<net::ReadBatchEntry> batch_;
+  std::vector<std::size_t> all_;
   net::CompletionQueue cq_;  ///< shared completion channel (+ wait queue)
   // Telemetry instruments (null when disabled / no registry installed).
   bool metrics_resolved_ = false;

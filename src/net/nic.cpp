@@ -114,23 +114,21 @@ void Nic::rx(Message msg) {
 
 // --- one-sided ------------------------------------------------------------------
 
-namespace {
-
-/// Transport-level failure: the RC state machine retransmits until the
-/// retry budget is spent, then flushes the WR with RetryExceeded. The
-/// initiator always gets a completion — nothing hangs on a dead peer.
-void fail_after_retries(Fabric& fabric, Completion c,
-                        std::function<void(Completion)> done) {
-  c.status = WcStatus::RetryExceeded;
-  fabric.simu().after(fabric.config().rdma_retry_timeout,
-                      [&fabric, c = std::move(c),
-                       done = std::move(done)]() mutable {
-                        c.completed = fabric.simu().now();
-                        done(std::move(c));
-                      });
+void count_doorbell(Nic& nic, std::size_t wrs) {
+  telemetry::Registry* reg = telemetry::Registry::of(nic.fabric_.simu());
+  if (reg == nullptr) return;
+  Nic::DoorbellMetrics& m = nic.doorbell_;
+  if (m.reg != reg) {
+    const telemetry::Labels by_node{{"node", nic.node_.name()}};
+    m.reg = reg;
+    m.doorbells = &reg->counter("net.doorbells", by_node);
+    m.posts = &reg->counter("net.posts", by_node);
+    m.wrs = &reg->histogram("net.doorbell.wrs", by_node);
+  }
+  m.doorbells->inc();
+  m.posts->inc(wrs);
+  m.wrs->observe(static_cast<double>(wrs));
 }
-
-}  // namespace
 
 MrKey Nic::register_mr(std::size_t bytes, std::function<std::any()> reader,
                        bool remote_writable,
@@ -154,7 +152,7 @@ bool Nic::deregister_mr(MrKey key) {
 }
 
 sim::Duration Nic::charge_qpc(std::uint64_t ctx_id, TenantId tenant) {
-  if (ctx_cache_ == nullptr || ctx_id == 0) return sim::Duration{};
+  if (ctx_cache_ == nullptr) return sim::Duration{};
   if (ctx_cache_->access(kQpcKey | ctx_id, tenant)) return sim::Duration{};
   // Miss: the context is fetched from host memory through the NIC's one
   // fetch engine — concurrent misses queue behind each other, so a post
@@ -181,229 +179,176 @@ sim::Duration Nic::charge_mr(std::uint32_t rkey) {
 }
 
 void Nic::rdma_read(int target_node, MrKey rkey, std::size_t len,
-                    std::uint64_t wr_id,
-                    std::function<void(Completion)> done,
-                    std::uint64_t ctx_id, TenantId tenant) {
+                    std::uint64_t wr_id, WrRoute route) {
+  post(/*is_write=*/false, target_node, rkey, std::any{}, len, wr_id,
+       std::move(route));
+}
+
+void Nic::rdma_write(int target_node, MrKey rkey, std::any value,
+                     std::size_t len, std::uint64_t wr_id, WrRoute route) {
+  post(/*is_write=*/true, target_node, rkey, std::move(value), len, wr_id,
+       std::move(route));
+}
+
+void Nic::post(bool is_write, int target_node, MrKey rkey, std::any value,
+               std::size_t len, std::uint64_t wr_id, WrRoute route) {
+  std::uint32_t slot = free_wr_;
+  if (slot == kNoSlot) {
+    slot = static_cast<std::uint32_t>(wrs_.size());
+    wrs_.emplace_back();
+  } else {
+    free_wr_ = wrs_[slot].next_free;
+  }
+  WrRecord& r = wrs_[slot];
+  r.route = std::move(route);
+  r.c.wr_id = wr_id;
+  r.c.posted = fabric_.simu().now();
+  r.value = std::move(value);
+  r.rkey = rkey;
+  r.len = len;
+  r.target = target_node;
+  r.is_write = is_write;
   ++rdma_posted_;
   if (fr_ != nullptr) {
-    // Flight-record the post and wrap `done` so every completion path
-    // (success, retry-exceeded, invalid key) lands exactly one event with
-    // the completion's own timestamp.
-    fr_->record("read.post", target_node, static_cast<std::int64_t>(wr_id),
-                static_cast<double>(len));
-    done = [fr = fr_, done = std::move(done)](Completion c) mutable {
-      fr->record_at(c.completed, "read.comp", static_cast<std::int64_t>(c.status),
-                    static_cast<std::int64_t>(c.wr_id),
-                    static_cast<double>((c.completed - c.posted).ns));
-      done(std::move(c));
-    };
+    fr_->record(is_write ? "write.post" : "read.post", target_node,
+                static_cast<std::int64_t>(wr_id), static_cast<double>(len));
   }
-  sim::Simulation& simu = fabric_.simu();
   const FabricConfig& cfg = fabric_.config();
-  rdma_wire_bytes_ += cfg.rdma_request_bytes + len;
-  Completion c;
-  c.wr_id = wr_id;
-  c.posted = simu.now();
+  // Wire footprint: a READ is a request out and the payload back; a WRITE
+  // carries the payload out and an ack back.
+  const std::size_t footprint =
+      (is_write ? 2 : 1) * cfg.rdma_request_bytes + len;
+  rdma_wire_bytes_ += footprint;
   if (arbiter_ != nullptr) {
     // Fabric QoS: the op's full wire footprint passes the per-tenant
     // token bucket + WFQ arbiter before the wire logic runs. A queue-cap
     // refusal drops the WR; the RC layer error-completes it exactly like
     // a retry-budget exhaustion.
-    const std::size_t footprint = cfg.rdma_request_bytes + len;
-    Completion drop = c;
-    if (!arbiter_->submit(
-            tenant, footprint,
-            [this, target_node, rkey, len, c, done, ctx_id, tenant]() mutable {
-              start_read(target_node, rkey, len, std::move(c), std::move(done),
-                         ctx_id, tenant);
-            })) {
-      fail_after_retries(fabric_, std::move(drop), std::move(done));
+    if (!arbiter_->submit(r.route.ctx->tenant(), footprint,
+                          [this, slot] { start(slot); })) {
+      fail_after_retries(slot);
     }
     return;
   }
-  start_read(target_node, rkey, len, std::move(c), std::move(done), ctx_id,
-             tenant);
+  start(slot);
 }
 
-void Nic::start_read(int target_node, MrKey rkey, std::size_t len,
-                     Completion c, std::function<void(Completion)> done,
-                     std::uint64_t ctx_id, TenantId tenant) {
-  sim::Simulation& simu = fabric_.simu();
+void Nic::start(std::uint32_t slot) {
+  WrRecord& r = wrs_[slot];
   const FabricConfig& cfg = fabric_.config();
   // Dead host at EITHER end or lost request packet: the op can never
   // succeed. The initiator-side check mirrors the socket path (a crashed
   // node's packets vanish both ways) — without it a crashed front end
   // would keep one-sided monitoring through its own NIC.
   if (fabric_.fault_state(node_id()).crashed ||
-      fabric_.fault_state(target_node).crashed ||
-      fabric_.sample_link_drop(node_id(), target_node)) {
-    fail_after_retries(fabric_, std::move(c), std::move(done));
+      fabric_.fault_state(r.target).crashed ||
+      fabric_.sample_link_drop(node_id(), r.target)) {
+    fail_after_retries(slot);
     return;
   }
   // QP-context cache touch at the initiator: an evicted context delays
   // the request by the (serialised) fetch penalty before it reaches the
-  // wire. Zero with the default unbounded cache.
-  const sim::Duration qpc_delay = charge_qpc(ctx_id, tenant);
-  // Request packet to the target NIC.
-  const sim::Duration req = qpc_delay +
-                            cfg.wire_delay(cfg.rdma_request_bytes) +
-                            fabric_.link_extra(node_id(), target_node);
-  Nic& target = fabric_.nic(target_node);
-  simu.after(req, [&target, this, rkey, len, c,
-                   done = std::move(done)]() mutable {
-    sim::Simulation& s = fabric_.simu();
-    const FabricConfig& fc = fabric_.config();
-    if (fabric_.fault_state(target.node_id()).crashed) {
-      // Died while the request was in flight. NOTE: a *frozen* target
-      // still serves the read — the DMA engine needs no host CPU, the
-      // property the paper's RDMA-Sync scheme exploits.
-      fail_after_retries(fabric_, std::move(c), std::move(done));
-      return;
-    }
-    // DMA engine serialisation at the target NIC (an MR-entry cache miss
-    // stalls the engine for the fetch).
-    const sim::TimePoint start =
-        target.dma_busy_ > s.now() ? target.dma_busy_ : s.now();
-    const sim::Duration service =
-        target.charge_mr(rkey.key) + fc.rdma_dma_base +
-        sim::nsec(static_cast<std::int64_t>(
-            static_cast<double>(len) * fc.rdma_dma_per_byte_ns));
-    target.dma_busy_ = start + service;
-    s.at(target.dma_busy_, [&target, this, rkey, len, c,
-                            done = std::move(done)]() mutable {
-      ++target.rdma_served_;
-      // Resolve the rkey only now: a region deregistered while the request
-      // was on the wire (or queued behind the DMA engine) must fail with
-      // InvalidKey, exactly like a write — never read through a stale entry.
-      auto it = target.regions_.find(rkey.key);
-      if (it == target.regions_.end()) {
-        c.status = WcStatus::InvalidKey;
-      } else if (it->second.reader) {
-        // THE key semantic: the content is sampled at the DMA instant.
-        c.data = it->second.reader();
-      }
-      // Response back to the initiator (may die on a lossy return path,
-      // or find either host dead meanwhile).
-      if (fabric_.fault_state(target.node_id()).crashed ||
-          fabric_.fault_state(node_id()).crashed ||
-          fabric_.sample_link_drop(target.node_id(), node_id())) {
-        fail_after_retries(fabric_, std::move(c), std::move(done));
-        return;
-      }
-      const sim::Duration resp =
-          fabric_.config().wire_delay(len) +
-          fabric_.link_extra(target.node_id(), node_id());
-      fabric_.simu().after(resp, [this, c = std::move(c),
-                                  done = std::move(done)]() mutable {
-        c.completed = fabric_.simu().now();
-        done(std::move(c));
-      });
-    });
-  });
+  // wire. Zero with the default unbounded cache. A WRITE carries its
+  // payload with the request.
+  const QpContext& ctx = *r.route.ctx;
+  const sim::Duration req =
+      charge_qpc(ctx.ctx_id(), ctx.tenant()) +
+      cfg.wire_delay(cfg.rdma_request_bytes + (r.is_write ? r.len : 0)) +
+      fabric_.link_extra(node_id(), r.target);
+  fabric_.simu().after(req, [this, slot] { arrive(slot); });
 }
 
-void Nic::rdma_write(int target_node, MrKey rkey, std::any value,
-                     std::size_t len, std::uint64_t wr_id,
-                     std::function<void(Completion)> done,
-                     std::uint64_t ctx_id, TenantId tenant) {
-  ++rdma_posted_;
+void Nic::arrive(std::uint32_t slot) {
+  const WrRecord& r = wrs_[slot];
+  sim::Simulation& s = fabric_.simu();
+  const FabricConfig& fc = fabric_.config();
+  Nic& target = fabric_.nic(r.target);
+  if (fabric_.fault_state(r.target).crashed) {
+    // Died while the request was in flight. NOTE: a *frozen* target
+    // still serves the read — the DMA engine needs no host CPU, the
+    // property the paper's RDMA-Sync scheme exploits.
+    fail_after_retries(slot);
+    return;
+  }
+  // DMA engine serialisation at the target NIC (an MR-entry cache miss
+  // stalls the engine for the fetch).
+  const sim::TimePoint start =
+      target.dma_busy_ > s.now() ? target.dma_busy_ : s.now();
+  const sim::Duration service =
+      target.charge_mr(r.rkey.key) + fc.rdma_dma_base +
+      sim::nsec(static_cast<std::int64_t>(static_cast<double>(r.len) *
+                                          fc.rdma_dma_per_byte_ns));
+  target.dma_busy_ = start + service;
+  s.at(target.dma_busy_, [this, slot] { dma(slot); });
+}
+
+void Nic::dma(std::uint32_t slot) {
+  Nic& target = fabric_.nic(wrs_[slot].target);
+  ++target.rdma_served_;
+  // Resolve the rkey only now: a region deregistered while the request
+  // was on the wire (or queued behind the DMA engine) must fail with
+  // InvalidKey — never read or write through a stale entry. A region's
+  // reader or writer may run arbitrary code (a writer's change hook can
+  // post), so the record is looked up again after it.
+  auto it = target.regions_.find(wrs_[slot].rkey.key);
+  if (it == target.regions_.end()) {
+    wrs_[slot].c.status = WcStatus::InvalidKey;
+  } else if (!wrs_[slot].is_write) {
+    // THE key semantic: the content is sampled at the DMA instant.
+    if (it->second.reader) {
+      std::any data = it->second.reader();
+      wrs_[slot].c.data = std::move(data);
+    }
+  } else if (!it->second.remote_writable) {
+    // Read-only exposure: the paper's defence for exporting kernel
+    // memory. The write is discarded.
+    wrs_[slot].c.status = WcStatus::ProtectionError;
+  } else if (it->second.writer) {
+    const std::any value = std::move(wrs_[slot].value);
+    it->second.writer(value);
+  }
+  // Response (READ payload, WRITE ack) back to the initiator: may die on
+  // a lossy return path, or find either host dead meanwhile.
+  const WrRecord& r = wrs_[slot];
+  if (fabric_.fault_state(r.target).crashed ||
+      fabric_.fault_state(node_id()).crashed ||
+      fabric_.sample_link_drop(r.target, node_id())) {
+    fail_after_retries(slot);
+    return;
+  }
+  const FabricConfig& fc = fabric_.config();
+  const sim::Duration resp =
+      fc.wire_delay(r.is_write ? fc.rdma_request_bytes : r.len) +
+      fabric_.link_extra(r.target, node_id());
+  fabric_.simu().after(resp, [this, slot] { complete(slot); });
+}
+
+void Nic::fail_after_retries(std::uint32_t slot) {
+  wrs_[slot].c.status = WcStatus::RetryExceeded;
+  fabric_.simu().after(fabric_.config().rdma_retry_timeout,
+                       [this, slot] { complete(slot); });
+}
+
+void Nic::complete(std::uint32_t slot) {
+  WrRecord& r = wrs_[slot];
+  r.c.completed = fabric_.simu().now();
   if (fr_ != nullptr) {
-    fr_->record("write.post", target_node, static_cast<std::int64_t>(wr_id),
-                static_cast<double>(len));
-    done = [fr = fr_, done = std::move(done)](Completion c) mutable {
-      fr->record_at(c.completed, "write.comp",
-                    static_cast<std::int64_t>(c.status),
-                    static_cast<std::int64_t>(c.wr_id),
-                    static_cast<double>((c.completed - c.posted).ns));
-      done(std::move(c));
-    };
+    // Every completion path (success, retry-exceeded, invalid key) lands
+    // exactly one event with the completion's own timestamp.
+    fr_->record_at(r.c.completed, r.is_write ? "write.comp" : "read.comp",
+                   static_cast<std::int64_t>(r.c.status),
+                   static_cast<std::int64_t>(r.c.wr_id),
+                   static_cast<double>((r.c.completed - r.c.posted).ns));
   }
-  sim::Simulation& simu = fabric_.simu();
-  const FabricConfig& cfg = fabric_.config();
-  rdma_wire_bytes_ += 2 * cfg.rdma_request_bytes + len;
-  Completion c;
-  c.wr_id = wr_id;
-  c.posted = simu.now();
-  if (arbiter_ != nullptr) {
-    const std::size_t footprint = 2 * cfg.rdma_request_bytes + len;
-    Completion drop = c;
-    if (!arbiter_->submit(
-            tenant, footprint,
-            [this, target_node, rkey, value, len, c, done, ctx_id,
-             tenant]() mutable {
-              start_write(target_node, rkey, std::move(value), len,
-                          std::move(c), std::move(done), ctx_id, tenant);
-            })) {
-      fail_after_retries(fabric_, std::move(drop), std::move(done));
-    }
-    return;
-  }
-  start_write(target_node, rkey, std::move(value), len, std::move(c),
-              std::move(done), ctx_id, tenant);
-}
-
-void Nic::start_write(int target_node, MrKey rkey, std::any value,
-                      std::size_t len, Completion c,
-                      std::function<void(Completion)> done,
-                      std::uint64_t ctx_id, TenantId tenant) {
-  sim::Simulation& simu = fabric_.simu();
-  const FabricConfig& cfg = fabric_.config();
-  if (fabric_.fault_state(node_id()).crashed ||
-      fabric_.fault_state(target_node).crashed ||
-      fabric_.sample_link_drop(node_id(), target_node)) {
-    fail_after_retries(fabric_, std::move(c), std::move(done));
-    return;
-  }
-  // Write carries the payload with the request.
-  const sim::Duration req = charge_qpc(ctx_id, tenant) +
-                            cfg.wire_delay(cfg.rdma_request_bytes + len) +
-                            fabric_.link_extra(node_id(), target_node);
-  Nic& target = fabric_.nic(target_node);
-  simu.after(req, [&target, this, rkey, len, c, value = std::move(value),
-                   done = std::move(done)]() mutable {
-    sim::Simulation& s = fabric_.simu();
-    const FabricConfig& fc = fabric_.config();
-    if (fabric_.fault_state(target.node_id()).crashed) {
-      fail_after_retries(fabric_, std::move(c), std::move(done));
-      return;
-    }
-    const sim::TimePoint start =
-        target.dma_busy_ > s.now() ? target.dma_busy_ : s.now();
-    const sim::Duration service =
-        target.charge_mr(rkey.key) + fc.rdma_dma_base +
-        sim::nsec(static_cast<std::int64_t>(
-            static_cast<double>(len) * fc.rdma_dma_per_byte_ns));
-    target.dma_busy_ = start + service;
-    s.at(target.dma_busy_, [&target, this, rkey, c, value = std::move(value),
-                            done = std::move(done)]() mutable {
-      ++target.rdma_served_;
-      auto it = target.regions_.find(rkey.key);
-      if (it == target.regions_.end()) {
-        c.status = WcStatus::InvalidKey;
-      } else if (!it->second.remote_writable) {
-        // Read-only exposure: the paper's defence for exporting kernel
-        // memory. The write is discarded.
-        c.status = WcStatus::ProtectionError;
-      } else if (it->second.writer) {
-        it->second.writer(value);
-      }
-      // Ack back to the initiator (small).
-      if (fabric_.fault_state(target.node_id()).crashed ||
-          fabric_.fault_state(node_id()).crashed ||
-          fabric_.sample_link_drop(target.node_id(), node_id())) {
-        fail_after_retries(fabric_, std::move(c), std::move(done));
-        return;
-      }
-      const sim::Duration resp =
-          fabric_.config().wire_delay(fabric_.config().rdma_request_bytes) +
-          fabric_.link_extra(target.node_id(), node_id());
-      fabric_.simu().after(resp, [this, c = std::move(c),
-                                  done = std::move(done)]() mutable {
-        c.completed = fabric_.simu().now();
-        done(std::move(c));
-      });
-    });
-  });
+  // Free the record before the route runs: retiring may launch a deferred
+  // post on this NIC, which reuses the slot.
+  WrRoute route = std::move(r.route);
+  Completion c = std::move(r.c);
+  r.c = Completion{};
+  r.value.reset();
+  r.next_free = free_wr_;
+  free_wr_ = slot;
+  route.ctx->retire(*route.cq, route.seq, route.signaled, std::move(c));
 }
 
 }  // namespace rdmamon::net

@@ -12,9 +12,9 @@
 
 #include <cstdint>
 #include <functional>
-#include <unordered_map>
-
 #include <memory>
+#include <unordered_map>
+#include <vector>
 
 #include "net/fabric.hpp"
 #include "net/message.hpp"
@@ -59,28 +59,28 @@ class Nic {
   bool deregister_mr(MrKey key);
 
   /// Initiator-side one-sided READ: request packet to the target NIC, DMA
-  /// service there (no target CPU), response back, then `done` runs at the
-  /// initiator with the completion. `ctx_id` names the posting QpContext
-  /// for the context-cache model (0 = uncontexted, never charged); with a
+  /// service there (no target CPU), response back, then the completion is
+  /// handed to `route` (its context retires the WR into its CQ). The
+  /// route's QpContext names the WR for the context-cache model: with a
   /// bounded cache configured, a QP-context miss delays the request by the
   /// fetch penalty, serialised on the NIC's single fetch engine, and an MR
   /// miss at the target stalls its DMA engine by the same penalty.
   ///
-  /// `tenant` tags the WR for fabric QoS: with FabricConfig::qos enabled
-  /// the op passes this NIC's per-tenant token-bucket + WFQ arbiter
-  /// before reaching the wire (and may be DROPPED at the tenant's queue
-  /// cap, error-completing with RetryExceeded). With QoS disabled the
-  /// tag is inert and the path is byte-identical to history.
+  /// The context's tenant tags the WR for fabric QoS: with
+  /// FabricConfig::qos enabled the op passes this NIC's per-tenant
+  /// token-bucket + WFQ arbiter before reaching the wire (and may be
+  /// DROPPED at the tenant's queue cap, error-completing with
+  /// RetryExceeded). With QoS disabled the tag is inert.
+  ///
+  /// The WR lives in a pooled record on this NIC until it completes, so a
+  /// post costs no allocation beyond what the READ's payload needs.
   void rdma_read(int target_node, MrKey rkey, std::size_t len,
-                 std::uint64_t wr_id, std::function<void(Completion)> done,
-                 std::uint64_t ctx_id = 0, TenantId tenant = 0);
+                 std::uint64_t wr_id, WrRoute route);
 
   /// Initiator-side one-sided WRITE. Rejected with ProtectionError when the
   /// target region is not remote_writable.
   void rdma_write(int target_node, MrKey rkey, std::any value,
-                  std::size_t len, std::uint64_t wr_id,
-                  std::function<void(Completion)> done,
-                  std::uint64_t ctx_id = 0, TenantId tenant = 0);
+                  std::size_t len, std::uint64_t wr_id, WrRoute route);
 
   /// Allocates a NIC-unique QpContext identity (context-cache key space).
   std::uint64_t alloc_ctx_id() { return next_ctx_id_++; }
@@ -137,16 +137,47 @@ class Nic {
   /// add to the DMA service time (the DMA engine already serialises).
   sim::Duration charge_mr(std::uint32_t rkey);
 
-  /// The wire half of rdma_read/rdma_write, entered directly (QoS off)
-  /// or as the arbiter's grant continuation (QoS on): fault checks,
-  /// context-cache charge, request leg, target DMA, response leg.
-  void start_read(int target_node, MrKey rkey, std::size_t len, Completion c,
-                  std::function<void(Completion)> done, std::uint64_t ctx_id,
-                  TenantId tenant);
-  void start_write(int target_node, MrKey rkey, std::any value,
-                   std::size_t len, Completion c,
-                   std::function<void(Completion)> done, std::uint64_t ctx_id,
-                   TenantId tenant);
+  /// One in-flight one-sided WR: everything its wire legs need, so each
+  /// leg's event captures only {this, slot} and stays inside InlineFn's
+  /// inline buffer. Records are recycled through a free list.
+  struct WrRecord {
+    WrRoute route;
+    Completion c;
+    std::any value;  ///< WRITE payload
+    MrKey rkey;
+    std::size_t len = 0;
+    int target = -1;
+    bool is_write = false;
+    std::uint32_t next_free = 0;
+  };
+
+  /// Takes a free record for the WR, accounts and flight-records the
+  /// post, and hands it to the QoS arbiter or straight to start().
+  void post(bool is_write, int target_node, MrKey rkey, std::any value,
+            std::size_t len, std::uint64_t wr_id, WrRoute route);
+  /// The wire legs of a posted WR, in order. start() is entered directly
+  /// (QoS off) or as the arbiter's grant (QoS on): fault checks,
+  /// context-cache charge, request leg; arrive() queues it on the target's
+  /// DMA engine; dma() reads or writes the region and sends the response;
+  /// complete() delivers the completion through the WR's route.
+  void start(std::uint32_t slot);
+  void arrive(std::uint32_t slot);
+  void dma(std::uint32_t slot);
+  void complete(std::uint32_t slot);
+  /// Transport-level failure: the RC state machine retransmits until the
+  /// retry budget is spent, then flushes the WR with RetryExceeded. The
+  /// initiator always gets a completion — nothing hangs on a dead peer.
+  void fail_after_retries(std::uint32_t slot);
+
+  /// Telemetry instruments of this node's doorbells, resolved on the
+  /// first doorbell rung under a registry (see count_doorbell).
+  struct DoorbellMetrics {
+    telemetry::Registry* reg = nullptr;
+    telemetry::Counter* doorbells = nullptr;
+    telemetry::Counter* posts = nullptr;
+    telemetry::HistogramMetric* wrs = nullptr;
+  };
+  friend void count_doorbell(Nic& nic, std::size_t wrs);
 
   /// CPU chosen for the next NetRx interrupt (config fixed or round-robin).
   int pick_rx_cpu();
@@ -171,6 +202,10 @@ class Nic {
   std::uint64_t rdma_posted_ = 0;
   std::uint64_t rdma_wire_bytes_ = 0;
   std::uint64_t unsignaled_posted_ = 0;
+  std::vector<WrRecord> wrs_;  ///< in-flight WR pool
+  static constexpr std::uint32_t kNoSlot = ~std::uint32_t{0};
+  std::uint32_t free_wr_ = kNoSlot;  ///< head of the free-record list
+  DoorbellMetrics doorbell_;
   /// Publishes the counters above as gauges at snapshot time, so the
   /// hot packet paths need no extra bookkeeping.
   telemetry::ScopedCollector collector_;

@@ -9,23 +9,6 @@
 
 namespace rdmamon::net {
 
-namespace {
-
-/// Telemetry: one doorbell rung by `self`, covering `wrs` work requests
-/// (the scatter engine's merged posts make this ratio interesting).
-/// Wall-clock-only bookkeeping; charges no simulated time.
-void count_doorbell(os::SimThread& self, std::size_t wrs) {
-  telemetry::Registry* reg = telemetry::Registry::of(self.node().simu());
-  if (reg == nullptr) return;
-  const telemetry::Labels by_node{{"node", self.node().name()}};
-  reg->counter("net.doorbells", by_node).inc();
-  reg->counter("net.posts", by_node).inc(wrs);
-  reg->histogram("net.doorbell.wrs", by_node)
-      .observe(static_cast<double>(wrs));
-}
-
-}  // namespace
-
 // --- CompletionQueue ----------------------------------------------------------
 
 CompletionQueue::~CompletionQueue() { mod_timer_.cancel(); }
@@ -45,7 +28,7 @@ void CompletionQueue::push(Completion c) {
   }
   const bool urgent = c.status != WcStatus::Success;
   ++cqes_signaled_;
-  q_.push_back(std::move(c));
+  surface(std::move(c));
   note_surfaced(urgent);
 }
 
@@ -66,7 +49,7 @@ void CompletionQueue::deliver(std::uint64_t ctx, std::uint64_t seq,
       return;
     }
     if (signaled) ++cqes_signaled_;
-    q_.push_back(std::move(c));
+    surface(std::move(c));
     note_surfaced(error);
     return;
   }
@@ -81,7 +64,7 @@ void CompletionQueue::deliver(std::uint64_t ctx, std::uint64_t seq,
     // shared multi-target context can arrive out of post order): the
     // consumer may be waiting on it, surface immediately.
     ++unsignaled_retired_;
-    q_.push_back(std::move(c));
+    surface(std::move(c));
     note_surfaced(false);
     return;
   }
@@ -100,7 +83,7 @@ void CompletionQueue::release_shadows(CtxState& st, std::uint64_t upto) {
       ++stale_dropped_;
     } else {
       ++unsignaled_retired_;
-      q_.push_back(std::move(it->c));
+      surface(std::move(it->c));
       note_surfaced(false);
     }
     it = st.shadow.erase(it);
@@ -134,32 +117,53 @@ void CompletionQueue::fire_notify() {
   wq_.notify_all();
 }
 
-const Completion* CompletionQueue::find(std::uint64_t wr_id) const {
-  for (const Completion& c : q_) {
-    if (c.wr_id == wr_id) return &c;
+void CompletionQueue::surface(Completion c) {
+  q_.push_back(Entry{std::move(c), true});
+  ++live_;
+}
+
+std::size_t CompletionQueue::index_of(std::uint64_t wr_id) const {
+  for (std::size_t i = head_; i < q_.size(); ++i) {
+    if (q_[i].live && q_[i].c.wr_id == wr_id) return i;
   }
-  return nullptr;
+  return q_.size();
+}
+
+Completion CompletionQueue::take(std::size_t i) {
+  Completion c = std::move(q_[i].c);
+  q_[i].live = false;
+  if (--live_ == 0) {
+    q_.clear();
+    head_ = 0;
+  } else if (q_.size() > 2 * live_ + 64) {
+    std::erase_if(q_, [](const Entry& e) { return !e.live; });
+    head_ = 0;
+  } else {
+    while (!q_[head_].live) ++head_;
+  }
+  return c;
+}
+
+Completion CompletionQueue::pop() { return take(head_); }
+
+const Completion* CompletionQueue::find(std::uint64_t wr_id) const {
+  const std::size_t i = index_of(wr_id);
+  return i < q_.size() ? &q_[i].c : nullptr;
 }
 
 bool CompletionQueue::try_pop(std::uint64_t wr_id, Completion& out) {
-  for (auto it = q_.begin(); it != q_.end(); ++it) {
-    if (it->wr_id == wr_id) {
-      out = std::move(*it);
-      q_.erase(it);
-      return true;
-    }
-  }
-  return false;
+  const std::size_t i = index_of(wr_id);
+  if (i == q_.size()) return false;
+  out = take(i);
+  return true;
 }
 
 void CompletionQueue::forget(std::uint64_t wr_id) {
   ++forgets_;
-  for (auto it = q_.begin(); it != q_.end(); ++it) {
-    if (it->wr_id == wr_id) {
-      q_.erase(it);  // already landed: reclaim immediately
-      ++stale_dropped_;
-      return;
-    }
+  if (const std::size_t i = index_of(wr_id); i < q_.size()) {
+    take(i);  // already landed: reclaim immediately
+    ++stale_dropped_;
+    return;
   }
   // An unsignaled success abandoned mid-window sits in its context's
   // shadow buffer, not in q_ — reclaim it there or its slot would leak
@@ -233,27 +237,25 @@ void QpContext::launch(Pending p) {
     ++unsignaled_;
     local_->count_unsignaled();
   }
-  // The completion callback keeps the context alive (shared ownership):
-  // a pool handed out by make_context_pool may be dropped by the wiring
-  // layer while WRs are still in flight.
-  auto done = [self = shared_from_this(), cq = p.cq, seq,
-               signaled](Completion c) {
-    --self->inflight_;
-    if (!self->deferred_.empty() &&
-        (self->send_depth_ == 0 || self->inflight_ < self->send_depth_)) {
-      Pending next = std::move(self->deferred_.front());
-      self->deferred_.pop_front();
-      self->launch(std::move(next));
-    }
-    cq->deliver(self->ctx_id_, seq, signaled, std::move(c));
-  };
+  WrRoute route{shared_from_this(), p.cq, seq, signaled};
   if (p.is_write) {
     local_->rdma_write(p.target, p.rkey, std::move(p.value), p.len, p.wr_id,
-                       std::move(done), ctx_id_, tenant_);
+                       std::move(route));
   } else {
-    local_->rdma_read(p.target, p.rkey, p.len, p.wr_id, std::move(done),
-                      ctx_id_, tenant_);
+    local_->rdma_read(p.target, p.rkey, p.len, p.wr_id, std::move(route));
   }
+}
+
+void QpContext::retire(CompletionQueue& cq, std::uint64_t seq, bool signaled,
+                       Completion c) {
+  --inflight_;
+  if (!deferred_.empty() &&
+      (send_depth_ == 0 || inflight_ < send_depth_)) {
+    Pending next = std::move(deferred_.front());
+    deferred_.pop_front();
+    launch(std::move(next));
+  }
+  cq.deliver(ctx_id_, seq, signaled, std::move(c));
 }
 
 // --- QueuePair ----------------------------------------------------------------
@@ -293,34 +295,34 @@ std::vector<std::shared_ptr<QpContext>> make_context_pool(
 
 // --- posting subprograms ------------------------------------------------------
 
-os::Program post_read_batch(os::SimThread& self,
+os::Program post_read_batch(os::SimThread& /*self*/,
                             const std::vector<ReadBatchEntry>& batch) {
   if (batch.empty()) co_return;
   // One doorbell for the whole chain; the posts themselves are pointer
   // writes into the send queue(s), free at this resolution.
   co_await os::Compute{kDoorbellCost};
-  count_doorbell(self, batch.size());
+  count_doorbell(batch.front().qp->context().nic(), batch.size());
   // Close every context's chain: the LAST WR posted through each distinct
   // QpContext is force-signaled, so a signal-every-k context never ends a
   // burst with an unprovable unsignaled tail. With dedicated contexts
   // (defaults) every entry is its context's last — all signaled, the
-  // historical behaviour.
-  std::unordered_map<const QpContext*, std::size_t> last;
+  // historical behaviour. Each context notes its last index itself; no
+  // suspension separates the two passes.
   for (std::size_t i = 0; i < batch.size(); ++i) {
-    last[&batch[i].qp->context()] = i;
+    batch[i].qp->context().batch_last_ = i;
   }
   for (std::size_t i = 0; i < batch.size(); ++i) {
     const ReadBatchEntry& e = batch[i];
     e.qp->post_read(e.rkey, e.len, e.wr_id,
-                    /*force_signal=*/last[&e.qp->context()] == i);
+                    /*force_signal=*/e.qp->context().batch_last_ == i);
   }
 }
 
-os::Program rdma_read_sync(os::SimThread& self, QueuePair& qp, MrKey rkey,
-                           std::size_t len, Completion& out) {
+os::Program rdma_read_sync(os::SimThread& /*self*/, QueuePair& qp,
+                           MrKey rkey, std::size_t len, Completion& out) {
   // Doorbell: a cheap user-space MMIO write.
   co_await os::Compute{kDoorbellCost};
-  count_doorbell(self, 1);
+  count_doorbell(qp.context().nic(), 1);
   qp.post_read(rkey, len, /*wr_id=*/0);
   CompletionQueue& cq = qp.cq();
   while (cq.empty()) co_await os::WaitOn{&cq.wait_queue()};
@@ -333,7 +335,7 @@ os::Program rdma_read_sync_until(os::SimThread& self, QueuePair& qp,
                                  Completion& out, bool& ok) {
   ok = false;
   co_await os::Compute{kDoorbellCost};
-  count_doorbell(self, 1);
+  count_doorbell(qp.context().nic(), 1);
   qp.post_read(rkey, len, wr_id);
   CompletionQueue& cq = qp.cq();
   sim::Simulation& simu = self.node().simu();
@@ -361,11 +363,11 @@ os::Program rdma_read_sync_until(os::SimThread& self, QueuePair& qp,
   timer.cancel();
 }
 
-os::Program rdma_write_sync(os::SimThread& self, QueuePair& qp, MrKey rkey,
-                            std::any value, std::size_t len,
+os::Program rdma_write_sync(os::SimThread& /*self*/, QueuePair& qp,
+                            MrKey rkey, std::any value, std::size_t len,
                             Completion& out) {
   co_await os::Compute{kDoorbellCost};
-  count_doorbell(self, 1);
+  count_doorbell(qp.context().nic(), 1);
   qp.post_write(rkey, std::move(value), len, /*wr_id=*/0);
   CompletionQueue& cq = qp.cq();
   while (cq.empty()) co_await os::WaitOn{&cq.wait_queue()};

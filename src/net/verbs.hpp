@@ -46,11 +46,21 @@
 namespace rdmamon::net {
 
 class Nic;
+class QpContext;
+class CompletionQueue;
+struct ReadBatchEntry;
 
 /// User-space cost of ringing the doorbell for one post (or one merged
 /// batch of posts — the RDMAbox-style amortisation the scatter engine
 /// exploits).
 inline constexpr sim::Duration kDoorbellCost = sim::nsec(300);
+
+/// Telemetry: one doorbell rung on `nic`'s node, covering `wrs` work
+/// requests (net.doorbells, net.posts, net.doorbell.wrs). Call it wherever
+/// a poster charges kDoorbellCost. Wall-clock-only bookkeeping: charges no
+/// simulated time; a no-op without a registry. The instruments are looked
+/// up once per node.
+void count_doorbell(Nic& nic, std::size_t wrs);
 
 /// Verbs fast-path knobs, carried from ClusterConfig / ScaleOutConfig down
 /// to the wiring that creates contexts and CQs. The defaults reproduce the
@@ -106,6 +116,17 @@ struct Completion {
   sim::TimePoint completed{}; ///< when the completion arrived
 };
 
+/// Where a one-sided WR completes: the posting context (kept alive while
+/// the WR is in flight — a pool from make_context_pool may be dropped by
+/// the wiring layer meanwhile), its CQ, the WR's per-context post
+/// sequence, and whether it carries a CQE.
+struct WrRoute {
+  std::shared_ptr<QpContext> ctx;
+  CompletionQueue* cq = nullptr;
+  std::uint64_t seq = 0;
+  bool signaled = true;
+};
+
 /// Completion queue with a blocking wait channel. A real verbs consumer
 /// would poll; blocking on the wait queue models the same latency without
 /// burning simulated front-end CPU (documented simplification).
@@ -147,13 +168,11 @@ class CompletionQueue {
   /// Call before completions flow; `simu` drives the flush timer.
   void bind_moderation(sim::Simulation& simu, int count, sim::Duration period);
 
-  bool empty() const { return q_.empty(); }
-  std::size_t size() const { return q_.size(); }
-  Completion pop() {
-    Completion c = std::move(q_.front());
-    q_.pop_front();
-    return c;
-  }
+  bool empty() const { return live_ == 0; }
+  std::size_t size() const { return live_; }
+  /// Removes and returns the oldest surfaced completion. Precondition:
+  /// !empty().
+  Completion pop();
 
   /// Monotonic work-request id source. A CQ shared by many QPs hands out
   /// CQ-unique ids, so one drain loop can demux all consumers' completions
@@ -212,11 +231,29 @@ class CompletionQueue {
   /// Surfaces earlier shadowed successes of `st` proven complete by a CQE
   /// with sequence `upto` (exclusive).
   void release_shadows(CtxState& st, std::uint64_t upto);
+  /// Appends a surfaced completion to q_ (the notification policy is
+  /// note_surfaced's).
+  void surface(Completion c);
+  /// The live entry of q_ with this wr_id, or q_.size().
+  std::size_t index_of(std::uint64_t wr_id) const;
+  /// Takes live entry `i` out of q_.
+  Completion take(std::size_t i);
   /// One completion surfaced into q_: apply the notification policy.
   void note_surfaced(bool urgent);
   void fire_notify();
 
-  std::deque<Completion> q_;
+  struct Entry {
+    Completion c;
+    bool live = true;
+  };
+  /// Surfaced completions in arrival order. Consumers take them from the
+  /// middle (by wr_id) as well as the front, so a taken one leaves a hole:
+  /// the vector is cleared, keeping its capacity, once the last live entry
+  /// is taken — every scatter round drains it — and compacted if holes
+  /// pile up behind a consumer that never drains.
+  std::vector<Entry> q_;
+  std::size_t head_ = 0;  ///< no live entry before this index
+  std::size_t live_ = 0;
   std::unordered_set<std::uint64_t> forgotten_;
   std::unordered_map<std::uint64_t, CtxState> ctxs_;
   std::uint64_t next_wr_id_ = 1;
@@ -261,6 +298,8 @@ class QpContext : public std::enable_shared_from_this<QpContext> {
 
   /// NIC context-cache identity (nonzero; allocated by the local NIC).
   std::uint64_t ctx_id() const { return ctx_id_; }
+  /// The NIC this context posts through.
+  Nic& nic() const { return *local_; }
   int signal_every() const { return signal_every_; }
   std::size_t send_depth() const { return send_depth_; }
 
@@ -289,8 +328,17 @@ class QpContext : public std::enable_shared_from_this<QpContext> {
     std::any value;  ///< writes only
   };
 
+  friend class Nic;
+  friend os::Program post_read_batch(os::SimThread& self,
+                                     const std::vector<ReadBatchEntry>& batch);
+
   void submit(Pending p);
   void launch(Pending p);
+  /// A WR of this context completed (called by the NIC through its
+  /// WrRoute): frees its window slot, launches the next deferred post,
+  /// then delivers the completion to `cq`.
+  void retire(CompletionQueue& cq, std::uint64_t seq, bool signaled,
+              Completion c);
 
   Nic* local_;
   std::uint64_t ctx_id_;
@@ -302,6 +350,9 @@ class QpContext : public std::enable_shared_from_this<QpContext> {
   std::deque<Pending> deferred_;
   std::uint64_t unsignaled_ = 0;
   std::uint64_t deferred_total_ = 0;
+  /// post_read_batch scratch: index of this context's last WR in the batch
+  /// being posted.
+  std::size_t batch_last_ = 0;
 };
 
 /// One work request of a multi-READ post (see QueuePair::post_read_batch).

@@ -3,7 +3,10 @@
 // RDMA-Sync scheme fetches directly.
 #pragma once
 
-#include <vector>
+#include <array>
+#include <cassert>
+#include <cstddef>
+#include <initializer_list>
 
 #include "os/types.hpp"
 #include "sim/time.hpp"
@@ -11,6 +14,35 @@
 namespace rdmamon::os {
 
 class Node;
+
+/// Per-CPU pending hard-interrupt counts, stored inline so a snapshot
+/// copies without touching the heap (the RDMA-Sync path copies one per
+/// READ). Holds up to kMaxCpus entries; size() is the node's CPU count.
+class IrqPending {
+ public:
+  IrqPending() = default;
+  IrqPending(std::initializer_list<int> v) {
+    assert(v.size() <= v_.size());
+    for (int x : v) v_[n_++] = x;
+  }
+
+  /// Resizes to `n` entries, all `value`. Precondition: n <= kMaxCpus.
+  void assign(std::size_t n, int value) {
+    assert(n <= v_.size());
+    n_ = n;
+    for (std::size_t i = 0; i < n; ++i) v_[i] = value;
+  }
+
+  std::size_t size() const { return n_; }
+  int& operator[](std::size_t i) { return v_[i]; }
+  int operator[](std::size_t i) const { return v_[i]; }
+  const int* begin() const { return v_.data(); }
+  const int* end() const { return v_.data() + n_; }
+
+ private:
+  std::array<int, kMaxCpus> v_{};
+  std::size_t n_ = 0;
+};
 
 /// One consistent reading of a node's resource usage. `computed_at` is the
 /// simulated instant the values were *computed by the kernel*; monitoring
@@ -23,7 +55,7 @@ struct LoadSnapshot {
   double mem_load = 0.0;   ///< memory used fraction in [0,1]
   double net_rate = 0.0;   ///< bytes/sec EMA
   int connections = 0;     ///< open sockets
-  std::vector<int> irq_pending;  ///< per-CPU pending hard interrupts
+  IrqPending irq_pending;  ///< per-CPU pending hard interrupts
 
   int irq_pending_total() const {
     int s = 0;

@@ -40,6 +40,10 @@ enum class IrqType : int {
 };
 constexpr int kIrqTypes = 4;
 
+/// Most CPUs a node may have: the capacity of a load snapshot's inline
+/// per-CPU interrupt counts. Node construction rejects more.
+constexpr int kMaxCpus = 16;
+
 /// Per-node OS tuning knobs. Defaults approximate the paper's testbed
 /// (dual 2.4 GHz Xeon, RedHat 9 / Linux 2.4-era behaviour).
 struct NodeConfig {

@@ -134,10 +134,13 @@ os::Program TenantStorm::poster_body(os::SimThread& self, int idx) {
     // One doorbell rings in a whole WR list (the RDMAbox-style batch the
     // verbs layer models too), up to the window.
     co_await os::Compute{net::kDoorbellCost};
-    for (int b = 0; b < cfg_.burst && outstanding_ < cfg_.max_outstanding;
-         ++b) {
+    int posted = 0;
+    for (; posted < cfg_.burst && outstanding_ < cfg_.max_outstanding;
+         ++posted) {
       post_one(idx, rr);
     }
+    net::count_doorbell(ctxs_[static_cast<std::size_t>(idx)]->nic(),
+                        static_cast<std::size_t>(posted));
     co_await os::SleepFor{cfg_.post_period};
   }
 }

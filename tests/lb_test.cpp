@@ -1,10 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "lb/admission.hpp"
 #include "lb/balancer.hpp"
 #include "monitor/monitor.hpp"
 #include "net/fabric.hpp"
 #include "os/node.hpp"
+#include "sim/random.hpp"
 #include "sim/simulation.hpp"
 
 namespace rdmamon::lb {
@@ -120,6 +124,153 @@ TEST(LoadBalancer, ERdmaSyncPenalisesIrqPressure) {
   EXPECT_DOUBLE_EQ(load_index(calm, w), 0.0);
   EXPECT_GT(load_index(stormy, w), 0.5);
 }
+
+/// pick() before its load indices were cached: three passes that recount
+/// the live back ends and recompute load_index from every back end's last
+/// sample on each call. The reference the cached single pass must match
+/// bit for bit, credits included.
+class ReferencePicker {
+ public:
+  explicit ReferencePicker(int n) : credit_(static_cast<std::size_t>(n)) {}
+
+  int pick(const LoadBalancer& lb) {
+    const int n = lb.backends();
+    auto index_of = [&lb](int i) {
+      const monitor::MonitorSample& s = lb.last_sample(i);
+      return s.ok ? load_index(s.info, lb.weights()) : 0.0;
+    };
+    constexpr double kFloor = 0.02;
+    int alive = 0;
+    for (int i = 0; i < n; ++i) {
+      if (lb.health_of(i) != BackendHealth::Dead) ++alive;
+    }
+    const bool any_alive = alive > 0;
+    auto in_rotation = [&](int i) {
+      return !any_alive || lb.health_of(i) != BackendHealth::Dead;
+    };
+    bool any_ok = false;
+    for (int i = 0; i < n; ++i) {
+      if (in_rotation(i) && index_of(i) < lb.weights().overload_cutoff) {
+        any_ok = true;
+        break;
+      }
+    }
+    all_dead_ += any_alive ? 0 : 1;
+    all_overloaded_ += any_ok ? 0 : 1;
+    double total = 0.0;
+    int winner = -1;
+    for (int i = 0; i < n; ++i) {
+      const double idx = index_of(i);
+      double w;
+      if (!in_rotation(i)) {
+        w = 0.0;
+      } else if (any_ok && idx >= lb.weights().overload_cutoff) {
+        w = 0.0;
+      } else if (lb.health_of(i) == BackendHealth::Suspect) {
+        w = kFloor;
+        ++suspect_weighed_;
+      } else {
+        w = std::max(kFloor, 1.0 - idx);
+      }
+      credit_[static_cast<std::size_t>(i)] += w;
+      total += w;
+      if (w > 0.0 &&
+          (winner < 0 || credit_[static_cast<std::size_t>(i)] >
+                             credit_[static_cast<std::size_t>(winner)])) {
+        winner = i;
+      }
+    }
+    if (winner < 0) winner = 0;
+    credit_[static_cast<std::size_t>(winner)] -= total;
+    alive_ = alive;
+    return winner;
+  }
+
+  double credit(int i) const { return credit_[static_cast<std::size_t>(i)]; }
+  int alive() const { return alive_; }
+  int all_dead() const { return all_dead_; }
+  int all_overloaded() const { return all_overloaded_; }
+  int suspect_weighed() const { return suspect_weighed_; }
+
+ private:
+  std::vector<double> credit_;
+  int alive_ = 0;
+  int all_dead_ = 0;
+  int all_overloaded_ = 0;
+  int suspect_weighed_ = 0;
+};
+
+class PickCacheProperty : public ::testing::TestWithParam<Scheme> {};
+
+TEST_P(PickCacheProperty, MatchesUncachedThreePassReference) {
+  // 10k picks over random sample streams, with injected fetch failures
+  // walking back ends through Suspect and Dead, whole-cluster outages
+  // (the all-dead fallback), hot phases where every server is past the
+  // overload cutoff, and shard-takeover resets. The samples reach the
+  // balancer through its public ingest path, which runs the same
+  // apply_sample + failure detector as the poller.
+  constexpr int kBackends = 8;
+  constexpr int kPicks = 10'000;
+  LbEnv env(kBackends, GetParam());
+  LoadBalancer& lb = *env.lb;
+  ReferencePicker ref(kBackends);
+  sim::Rng rng(0x5eed'1234);
+
+  auto random_sample = [&rng](bool hot) {
+    monitor::MonitorSample s;
+    s.ok = true;
+    os::LoadSnapshot& info = s.info;
+    info.cpu_load = hot ? rng.uniform(0.9, 1.0) : rng.uniform();
+    info.nr_running = static_cast<int>(rng.uniform_int(hot ? 8 : 0, 10));
+    info.mem_load = rng.uniform();
+    info.net_rate = rng.uniform(0.0, 2e9);
+    info.connections = static_cast<int>(rng.uniform_int(0, 200));
+    info.irq_pending = {static_cast<int>(rng.uniform_int(0, 5)),
+                        static_cast<int>(rng.uniform_int(0, 5))};
+    return s;
+  };
+  monitor::MonitorSample failed;
+  failed.ok = false;
+  failed.error = monitor::FetchError::Transport;
+
+  for (int p = 0; p < kPicks; ++p) {
+    // Regimes of 500 picks: calm, hot (everyone overloaded), outage
+    // (failures dominate until everyone is Dead), recovery.
+    const int regime = (p / 500) % 4;
+    const bool hot = regime == 1;
+    const double fail_p = regime == 2 ? 0.9 : regime == 3 ? 0.05 : 0.2;
+    const int events = static_cast<int>(rng.uniform_int(0, 3));
+    for (int e = 0; e < events; ++e) {
+      const auto b = static_cast<std::size_t>(rng.uniform_int(0, kBackends - 1));
+      if (rng.chance(fail_p)) {
+        if (rng.chance(0.5)) {
+          lb.ingest_peer_sample(b, failed);
+        } else {
+          lb.note_stale(b);
+        }
+      } else if (rng.chance(0.01)) {
+        lb.reset_health(b);
+      } else {
+        lb.ingest_peer_sample(b, random_sample(hot));
+      }
+    }
+    const int expected = ref.pick(lb);
+    ASSERT_EQ(lb.pick(), expected) << "pick " << p;
+    ASSERT_EQ(lb.alive_backends(), ref.alive()) << "pick " << p;
+    for (int i = 0; i < kBackends; ++i) {
+      ASSERT_EQ(lb.wrr_credit(i), ref.credit(i))
+          << "pick " << p << ", backend " << i;
+    }
+  }
+  // Every regime the cache must survive was actually reached.
+  EXPECT_GT(ref.all_dead(), 0);
+  EXPECT_GT(ref.all_overloaded(), 0);
+  EXPECT_GT(ref.suspect_weighed(), 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(PlainAndIrqIndex, PickCacheProperty,
+                         ::testing::Values(Scheme::RdmaSync,
+                                           Scheme::ERdmaSync));
 
 TEST(Admission, ThresholdSeparatesAdmitReject) {
   AdmissionController adm(0.5);

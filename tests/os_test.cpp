@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <vector>
 
 #include "os/node.hpp"
@@ -402,6 +403,21 @@ TEST(ProcFs, SnapshotReflectsKernelState) {
   EXPECT_EQ(snap.computed_at.ns, s.now().ns);
   EXPECT_EQ(snap.irq_pending.size(), 2u);
   EXPECT_GT(node.procfs().read_cost().ns, 0);
+}
+
+TEST(ProcFs, SnapshotHoldsOneIrqCountPerCpuUpToCapacity) {
+  // The per-CPU interrupt counts live inline in the snapshot, so their
+  // capacity bounds the CPU count a node may be built with.
+  sim::Simulation s;
+  NodeConfig cfg = test_config();
+  cfg.cpus = kMaxCpus;
+  Node widest(s, cfg);
+  EXPECT_EQ(widest.procfs().snapshot().irq_pending.size(),
+            static_cast<std::size_t>(kMaxCpus));
+  EXPECT_EQ(widest.procfs().snapshot_dma().irq_pending.size(),
+            static_cast<std::size_t>(kMaxCpus));
+  cfg.cpus = kMaxCpus + 1;
+  EXPECT_THROW(Node(s, cfg), std::invalid_argument);
 }
 
 TEST(Scheduler, RunqueueWaitGrowsWithThreadCount) {

@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "monitor/inbox.hpp"
 #include "monitor/meta.hpp"
 #include "monitor/monitor.hpp"
 #include "monitor/scatter.hpp"
@@ -592,6 +593,55 @@ TEST(Integration, VerbsFastPathCountersExportDeterministically) {
   const auto twice = run_once();
   EXPECT_EQ(once.prom, twice.prom);
   EXPECT_EQ(once.dash, twice.dash);
+}
+
+TEST(Integration, EveryChargedDoorbellIsCounted) {
+  // Every post that pays net::kDoorbellCost rings a counted doorbell:
+  // net.doorbells equals the WRs posted for one sequential fetch() (the
+  // issue half) and for N publisher pushes (the WRITE path).
+  sim::Simulation simu;
+  Registry reg;
+  reg.install(simu);
+  net::Fabric fabric(simu, {});
+  os::Node fe(simu, {.name = "fe"}), be(simu, {.name = "be"});
+  fabric.attach(fe);
+  fabric.attach(be);
+  monitor::MonitorConfig mcfg;
+  mcfg.scheme = monitor::Scheme::RdmaSync;
+  monitor::MonitorChannel chan(fabric, fe, be, mcfg);
+  const monitor::PushConfig pcfg;
+  monitor::PushInbox inbox(fabric, fe, 1, pcfg.slot_bytes);
+  monitor::PushPublisher pub(fabric, be, pcfg);
+  pub.target(fe.id, inbox.mr_key(), 0);
+
+  auto counted = [&reg](const char* name, const char* node) {
+    const Snapshot snap = reg.snapshot();
+    const SnapshotEntry* e = snap.find(name, node);
+    return e != nullptr ? e->value : 0.0;
+  };
+
+  bool fetched = false;
+  fe.spawn("mon", [&](os::SimThread& self) -> os::Program {
+    monitor::MonitorSample s;
+    co_await chan.frontend().fetch(self, s);
+    fetched = s.ok;
+  });
+  simu.run_for(sim::msec(10));
+  ASSERT_TRUE(fetched);
+  EXPECT_EQ(fabric.nic(fe.id).rdma_ops_posted(), 1u);
+  EXPECT_EQ(counted("net.doorbells", "node=fe"), 1.0);
+  EXPECT_EQ(counted("net.posts", "node=fe"), 1.0);
+
+  pub.start();
+  simu.run_for(sim::msec(300));
+  pub.stop();
+  simu.run_for(sim::msec(10));
+  ASSERT_GT(pub.pushes(), 1u);
+  EXPECT_EQ(fabric.nic(be.id).rdma_ops_posted(), pub.pushes());
+  EXPECT_EQ(counted("net.doorbells", "node=be"),
+            static_cast<double>(pub.pushes()));
+  EXPECT_EQ(counted("net.posts", "node=be"),
+            static_cast<double>(pub.pushes()));
 }
 
 // --- meta-monitoring: reading the monitor's own telemetry via RDMA ----------

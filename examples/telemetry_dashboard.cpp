@@ -2,8 +2,9 @@
 // cluster with a mid-run back-end crash, then dump the dashboard the
 // registry assembled — fetch outcome counters and latency percentiles per
 // backend, NIC/socket traffic, balancer health transitions and dispatch
-// totals, fault events as spans — plus the Prometheus and JSON exports,
-// and finally read the front end's own telemetry through a one-sided
+// totals, and the tail of the flight recorder's merged event timeline —
+// plus the Prometheus and JSON exports and the recorder dump, and finally
+// read the front end's own telemetry through a one-sided
 // RDMA READ (the monitoring plane monitoring itself).
 #include <iostream>
 
@@ -46,7 +47,7 @@ int main() {
   monitor::TelemetrySelfMonitor meta(bed.fabric(), bed.frontend(), reg);
 
   // Crash backend0 for the middle of the run so health transitions and
-  // fault spans show up in the dump.
+  // fault records show up in the flight recorder.
   fault::FaultPlan plan;
   plan.crash_for(bed.backend(0).id, sim::TimePoint{sim::msec(400).ns},
                  sim::msec(300));
@@ -73,8 +74,8 @@ int main() {
 
   simu.run_for(sim::seconds(1));
 
-  // 1. The human dashboard: grouped metrics + most recent spans.
-  telemetry::print_dashboard(std::cout, reg.snapshot(), &reg.spans());
+  // 1. The human dashboard: grouped metrics + most recent flight events.
+  telemetry::print_dashboard(std::cout, reg.snapshot(), &reg.recorder());
 
   // 2. Machine exports (what a scrape-file consumer would read).
   const telemetry::Snapshot snap = reg.snapshot();
@@ -90,9 +91,10 @@ int main() {
 
   telemetry::write_file("telemetry_snapshot.json",
                         telemetry::to_json(snap).dump(2) + "\n");
-  telemetry::write_file("telemetry_spans.json",
-                        telemetry::spans_to_json(reg.spans()).dump(2) + "\n");
-  std::cout << "\nwrote telemetry_snapshot.json and telemetry_spans.json\n";
+  telemetry::write_file("telemetry_flight.json",
+                        reg.recorder().dump("end_of_run").dump(2) + "\n");
+  std::cout << "\nwrote telemetry_snapshot.json and telemetry_flight.json "
+               "(render with tools/flightdump.py)\n";
 
   // 3. The meta-monitoring read-back.
   std::cout << "\n--- self-monitoring: front-end snapshot via RDMA READ ---\n";

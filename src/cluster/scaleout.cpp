@@ -115,18 +115,18 @@ void FrontendPlane::wire(sim::Duration granularity) {
   }
   view_.membership_epoch = plane_->membership().epoch();
 
-  reg_ = telemetry::Registry::of(node_->simu());
-  if (reg_ != nullptr) {
+  telemetry::Registry* reg = telemetry::Registry::of(node_->simu());
+  if (reg != nullptr) {
     const telemetry::Labels by_fe{{"frontend", node_->name()}};
     auto read_counter = [&](const char* result) -> telemetry::Counter& {
       telemetry::Labels l = by_fe;
       l.add("result", result);
-      return reg_->counter("cluster.gossip.reads", l);
+      return reg->counter("cluster.gossip.reads", l);
     };
     m_gossip_ok_ = &read_counter("ok");
     m_gossip_fail_ = &read_counter("failed");
-    m_stale_ = &reg_->counter("cluster.stale_marks", by_fe);
-    m_evict_ = &reg_->counter("cluster.evictions", by_fe);
+    m_stale_ = &reg->counter("cluster.stale_marks", by_fe);
+    m_evict_ = &reg->counter("cluster.evictions", by_fe);
     collector_.bind(node_->simu(), [this](telemetry::Registry& reg) {
       const telemetry::Labels l{{"frontend", node_->name()}};
       reg.gauge("cluster.ring.owned", l)
@@ -136,8 +136,8 @@ void FrontendPlane::wire(sim::Duration granularity) {
       reg.gauge("cluster.membership.epoch", l)
           .set(static_cast<double>(plane_->membership().epoch()));
     });
-    fr_ = reg_->recorder().ring("gossip." + node_->name(), 256);
-    slo_ = reg_->slo();
+    fr_ = reg->recorder().ring("gossip." + node_->name(), 256);
+    slo_ = reg->slo();
     if (slo_ != nullptr) {
       s_peer_age_ = slo_->find("cluster.peer_view_age");
     }
@@ -273,8 +273,6 @@ os::Program FrontendPlane::gossip_body(os::SimThread& self) {
           // members again: rejoin and take our shard back.
           ++rejoins_;
           mem.join(id_, "recovered");
-          telemetry::span_event(reg_, "cluster", "membership",
-                                node_->name() + ": rejoined");
           telemetry::fr_record(fr_, "rejoin", id_);
         }
       } else {
@@ -289,10 +287,6 @@ os::Program FrontendPlane::gossip_body(os::SimThread& self) {
         ++evictions_;
         telemetry::add(m_evict_);
         telemetry::fr_record(fr_, "evict", peer, read_ok ? 1 : 0);
-        telemetry::span_event(
-            reg_, "cluster", "membership",
-            node_->name() + ": evicting " + fp.node().name() +
-                (read_ok ? " (stale view)" : " (unreachable)"));
         mem.leave(peer, read_ok ? "stale view" : "unreachable");
       }
     }

@@ -208,7 +208,6 @@ class FrontendPlane {
   std::uint64_t takeovers_ = 0;
   std::uint64_t rejoins_ = 0;
 
-  telemetry::Registry* reg_ = nullptr;
   telemetry::Counter* m_gossip_ok_ = nullptr;
   telemetry::Counter* m_gossip_fail_ = nullptr;
   telemetry::Counter* m_stale_ = nullptr;

@@ -6,6 +6,13 @@
 
 namespace rdmamon::lb {
 
+namespace {
+
+/// Cadence of the dedicated inbox scanner thread (see scanner_body).
+constexpr sim::Duration kScanPeriod = sim::msec(5);
+
+}  // namespace
+
 double load_index(const os::LoadSnapshot& info, const WeightConfig& w) {
   const double net =
       std::min(info.net_rate / w.net_capacity_bps, 1.0);
@@ -116,11 +123,6 @@ void LoadBalancer::record_fetch(std::size_t i, bool ok) {
                      : h.state == BackendHealth::Suspect
                          ? m_to_suspect_
                          : m_to_dead_);
-      // Timestamped transition record in the span stream.
-      telemetry::span_event(reg_, "lb", "health",
-                            channels_[i]->backend().node().name() + ": " +
-                                to_string(before) + " -> " +
-                                to_string(h.state));
     }
     telemetry::fr_record(fr_, "health", static_cast<std::int64_t>(i),
                          static_cast<std::int64_t>(h.state));
@@ -162,15 +164,13 @@ void LoadBalancer::reset_health(std::size_t i) {
   h = Health{};
   if (before != BackendHealth::Healthy) {
     note_transition(before, BackendHealth::Healthy);
-    if (reg_ != nullptr) {
-      telemetry::add(m_to_healthy_);
-      telemetry::span_event(reg_, "lb", "health",
-                            channels_[i]->backend().node().name() +
-                                ": reset " + to_string(before) +
-                                " -> healthy (shard takeover)");
-    }
+    telemetry::add(m_to_healthy_);
+    // A shard-takeover reset: x carries the state it was reset from
+    // (ordinary transitions leave x = 0, i.e. Healthy is never a reset's
+    // origin).
     telemetry::fr_record(fr_, "health", static_cast<std::int64_t>(i),
-                         static_cast<std::int64_t>(BackendHealth::Healthy));
+                         static_cast<std::int64_t>(BackendHealth::Healthy),
+                         static_cast<double>(before));
     for (const auto& cb : health_cbs_) {
       cb(static_cast<int>(i), BackendHealth::Healthy);
     }
@@ -245,7 +245,7 @@ void LoadBalancer::consume_push_fresh(std::size_t i,
 
 os::Program LoadBalancer::scanner_body(os::SimThread& self) {
   for (;;) {
-    co_await os::SleepFor{push_cfg_.scan_period};
+    co_await os::SleepFor{kScanPeriod};
     std::size_t scanned = 0;
     for (std::size_t i = 0; i < channels_.size(); ++i) {
       if (poll_filter_ && !poll_filter_(i)) continue;  // not our shard
@@ -385,8 +385,7 @@ void LoadBalancer::start(os::Node& frontend, sim::Duration granularity) {
         return poller_body(t, granularity);
       });
   if (push_inbox_ != nullptr &&
-      push_cfg_.strategy != monitor::MonitorStrategy::Pull &&
-      push_cfg_.scan_period.ns > 0) {
+      push_cfg_.strategy != monitor::MonitorStrategy::Pull) {
     scanner_thread_ = frontend.spawn(
         "lb-scanner", [this](os::SimThread& t) { return scanner_body(t); });
   }

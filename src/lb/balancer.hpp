@@ -98,13 +98,6 @@ struct PushPollConfig {
   /// Front-end CPU cost of scanning one inbox slot (a local memory read
   /// plus the seqlock checks; no doorbell, no wire).
   sim::Duration scan_cost = sim::nsec(150);
-  /// Cadence of the dedicated inbox scanner thread. The scan is a local
-  /// memory sweep, so it can run far faster than the wire poll rounds —
-  /// this is where the push scheme's freshness advantage comes from: a
-  /// pushed change reaches the view within ~scan_period instead of
-  /// waiting out the poll granularity. Zero disables the thread (slots
-  /// are then consumed only by the per-round pre-pass).
-  sim::Duration scan_period = sim::msec(5);
   /// Controller tuning; used only when strategy == Adaptive. pull_period
   /// is overridden with the balancer's granularity at start().
   monitor::AdaptiveConfig adaptive;
@@ -150,7 +143,6 @@ class LoadBalancer {
   /// see net::make_context_pool). Call before start(); the defaults keep
   /// the historical one-notify-per-completion behaviour.
   void set_verbs_tuning(net::VerbsTuning t) { verbs_ = t; }
-  const net::VerbsTuning& verbs_tuning() const { return verbs_; }
 
   // --- push / adaptive strategy (monitor/inbox.hpp) ------------------------
   /// Enables the push-based refresh path: back end i's publisher targets
@@ -181,7 +173,6 @@ class LoadBalancer {
   const monitor::AdaptiveController* adaptive() const {
     return adaptive_.get();
   }
-  monitor::PushInbox* push_inbox() { return push_inbox_; }
 
   /// Fresh inbox images applied / verification READs triggered by silence.
   std::uint64_t push_fresh() const { return push_fresh_; }
@@ -321,10 +312,11 @@ class LoadBalancer {
   /// verifications). Returns the number of slots scanned (CPU cost is
   /// charged by the caller).
   std::size_t push_prepass(sim::TimePoint now);
-  /// Dedicated inbox scanner (push_cfg_.scan_period > 0): sweeps every
-  /// push-mode slot far more often than the wire polls run, so pushed
-  /// changes reach the view at memory-read latency. Verification and the
-  /// failure ladder stay with the per-round pre-pass.
+  /// Dedicated inbox scanner: sweeps every push-mode slot every 5 ms,
+  /// far more often than the wire polls run, so pushed changes reach the
+  /// view at memory-read latency instead of waiting out the poll
+  /// granularity — the push scheme's freshness advantage. Verification
+  /// and the failure ladder stay with the per-round pre-pass.
   os::Program scanner_body(os::SimThread& self);
   /// Consumes one Fresh scan result: counters, adaptive evidence,
   /// telemetry, then apply_sample. Shared by pre-pass and scanner.

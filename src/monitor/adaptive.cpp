@@ -68,7 +68,6 @@ void AdaptiveController::decide(std::size_t i, sim::TimePoint now,
       static_cast<double>(cfg_.push_bytes) *
       (chi + 1.0 / cfg_.push_heartbeat.seconds());
   const double pull_bps = est_pull_bps();
-  s.est_push_bps = push_bps;
 
   FetchMode desired = s.mode;
   if (push_bps * cfg_.hysteresis < pull_bps) {

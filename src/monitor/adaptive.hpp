@@ -94,8 +94,7 @@ class AdaptiveController {
   // --- introspection --------------------------------------------------------
   std::uint64_t switches(std::size_t i) const { return st_[i].switches; }
   std::uint64_t total_switches() const;
-  /// Last epoch's projected costs for backend `i` (bytes/sec).
-  double est_push_bps(std::size_t i) const { return st_[i].est_push_bps; }
+  /// Last epoch's projected pull cost (bytes/sec).
   double est_pull_bps() const;
 
  private:
@@ -114,7 +113,6 @@ class AdaptiveController {
     int candidate_epochs = 0;
     sim::TimePoint last_switch{};
     std::uint64_t switches = 0;
-    double est_push_bps = 0.0;
   };
 
   void decide(std::size_t i, sim::TimePoint now, double epoch_sec);

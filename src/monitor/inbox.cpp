@@ -122,7 +122,6 @@ void PushPublisher::target(int frontend_node, net::MrKey inbox_key,
       slot == slot_) {
     return;  // same target: keep the baseline, no gratuitous re-push
   }
-  if (target_node_ >= 0) ++retargets_;
   target_node_ = frontend_node;
   inbox_key_ = inbox_key;
   slot_ = slot;
@@ -168,7 +167,6 @@ os::Program PushPublisher::body(os::SimThread& self) {
       in_flight_ = false;
       if (c.status != net::WcStatus::Success) {
         ++errors_;
-        if (c.status == net::WcStatus::InvalidKey) ++invalid_key_;
         has_baseline_ = false;
       }
     }

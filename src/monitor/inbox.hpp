@@ -195,8 +195,6 @@ class PushPublisher {
   std::uint64_t pushes() const { return pushes_; }
   std::uint64_t heartbeats() const { return heartbeats_; }
   std::uint64_t errors() const { return errors_; }
-  std::uint64_t invalid_key() const { return invalid_key_; }
-  std::uint64_t retargets() const { return retargets_; }
 
  private:
   os::Program body(os::SimThread& self);
@@ -220,8 +218,6 @@ class PushPublisher {
   std::uint64_t pushes_ = 0;
   std::uint64_t heartbeats_ = 0;
   std::uint64_t errors_ = 0;
-  std::uint64_t invalid_key_ = 0;
-  std::uint64_t retargets_ = 0;
 };
 
 }  // namespace rdmamon::monitor

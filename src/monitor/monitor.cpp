@@ -139,6 +139,7 @@ void FrontendMonitor::resolve_metrics() {
   m_transport_ = &outcome("transport");
   m_retries_ = &reg_->counter("monitor.fetch.retries", by_chan);
   m_backoff_waits_ = &reg_->counter("monitor.backoff_waits", by_chan);
+  fr_ = reg_->recorder().ring("monitor." + frontend_->name());
 }
 
 void FrontendMonitor::record_sample(const MonitorSample& s) {
@@ -162,8 +163,7 @@ os::Program FrontendMonitor::fetch(os::SimThread& self, MonitorSample& out) {
   out.requested_at = simu.now();
   const MonitorConfig& cfg = backend_->config();
   if (!metrics_resolved_) resolve_metrics();
-  const telemetry::SpanId fetch_span =
-      telemetry::span_begin(reg_, "monitor", "fetch");
+  const std::int64_t node = backend_->node().id;
   sim::Duration backoff = cfg.retry_backoff;
   for (int attempt = 0;; ++attempt) {
     out.attempts = attempt + 1;
@@ -173,20 +173,31 @@ os::Program FrontendMonitor::fetch(os::SimThread& self, MonitorSample& out) {
             : sim::TimePoint{std::numeric_limits<std::int64_t>::max()};
     out.ok = false;
     FetchOp op;
-    // Each bounded attempt is a child span cause-linked to the fetch.
-    const telemetry::SpanId attempt_span =
-        telemetry::span_begin(reg_, "monitor", "attempt", fetch_span);
+    const sim::TimePoint attempt_start = simu.now();
     co_await issue(self, op, deadline);
     co_await await_resolution(self, op, out);
-    telemetry::span_end(reg_, attempt_span,
-                        out.ok ? "ok" : to_string(out.error));
+    // Flight record per attempt: a = back-end node, b = attempt number,
+    // x = the attempt's duration (ns).
+    telemetry::fr_record(fr_,
+                         out.ok ? "attempt.ok"
+                         : out.error == FetchError::Timeout
+                             ? "attempt.timeout"
+                             : "attempt.transport",
+                         node, out.attempts,
+                         static_cast<double>((simu.now() - attempt_start).ns));
     if (out.ok || attempt >= cfg.fetch_retries) break;
     telemetry::add(m_backoff_waits_);
     co_await os::SleepFor{backoff};
     backoff = backoff * 2;
   }
   out.retrieved_at = simu.now();
-  telemetry::span_end(reg_, fetch_span, out.ok ? "ok" : to_string(out.error));
+  // ...and per fetch: b = attempts spent, x = fetch latency (ns).
+  telemetry::fr_record(fr_,
+                       out.ok ? "fetch.ok"
+                       : out.error == FetchError::Timeout ? "fetch.timeout"
+                                                          : "fetch.transport",
+                       node, out.attempts,
+                       static_cast<double>(out.latency().ns));
   record_sample(out);
 }
 

@@ -243,6 +243,8 @@ class FrontendMonitor {
   telemetry::Counter* m_transport_ = nullptr;
   telemetry::Counter* m_retries_ = nullptr;
   telemetry::Counter* m_backoff_waits_ = nullptr;
+  /// `monitor.<frontend>` flight ring: fetch() attempt and fetch outcomes.
+  telemetry::FlightRing* fr_ = nullptr;
 };
 
 /// Convenience bundle: wires a complete monitoring channel (connection for

@@ -15,21 +15,23 @@ sim::TimePoint attempt_deadline(const MonitorConfig& cfg,
 
 }  // namespace
 
-void ScatterFetcher::resolve_metrics(sim::Simulation& simu) {
+void ScatterFetcher::resolve_metrics(os::Node& node) {
   metrics_resolved_ = true;
-  reg_ = telemetry::Registry::of(simu);
-  if (reg_ == nullptr) return;
-  m_rounds_ = &reg_->counter("scatter.rounds");
+  sim::Simulation& simu = node.simu();
+  telemetry::Registry* reg = telemetry::Registry::of(simu);
+  if (reg == nullptr) return;
+  fr_ = reg->recorder().ring("scatter." + node.name());
+  m_rounds_ = &reg->counter("scatter.rounds");
   auto outcome = [&](const char* result) -> telemetry::Counter& {
-    return reg_->counter("scatter.outcome",
-                         telemetry::Labels{{"result", result}});
+    return reg->counter("scatter.outcome",
+                        telemetry::Labels{{"result", result}});
   };
   m_ok_ = &outcome("ok");
   m_timeout_ = &outcome("timeout");
   m_transport_ = &outcome("transport");
-  m_round_slots_ = &reg_->histogram("scatter.round_slots");
-  m_wave_width_ = &reg_->histogram("scatter.wave_width");
-  m_retries_ = &reg_->histogram("scatter.retries_per_slot");
+  m_round_slots_ = &reg->histogram("scatter.round_slots");
+  m_wave_width_ = &reg->histogram("scatter.wave_width");
+  m_retries_ = &reg->histogram("scatter.retries_per_slot");
   collector_.bind(simu, [this](telemetry::Registry& reg) {
     reg.gauge("scatter.cq.pushed")
         .set(static_cast<double>(cq_.completions_pushed()));
@@ -57,9 +59,8 @@ os::Program ScatterFetcher::round(os::SimThread& self,
                                   std::vector<MonitorSample>& out) {
   sim::Simulation& simu = self.node().simu();
   if (out.size() < targets_.size()) out.resize(targets_.size());
-  if (!metrics_resolved_) resolve_metrics(simu);
-  const telemetry::SpanId round_span =
-      telemetry::span_begin(reg_, "scatter", "round");
+  if (!metrics_resolved_) resolve_metrics(self.node());
+  const sim::TimePoint round_start = simu.now();
   telemetry::add(m_rounds_);
   telemetry::observe(m_round_slots_, static_cast<double>(which.size()));
 
@@ -183,7 +184,8 @@ os::Program ScatterFetcher::round(os::SimThread& self,
     }
     timer.cancel();
   }
-  telemetry::span_end(reg_, round_span);
+  telemetry::fr_record(fr_, "round", static_cast<std::int64_t>(which.size()),
+                       0, static_cast<double>((simu.now() - round_start).ns));
 }
 
 os::Program ScatterFetcher::round_all(os::SimThread& self,

@@ -61,9 +61,10 @@ class ScatterFetcher {
     sim::TimePoint resume_at{};  ///< Backoff: when to re-issue
   };
 
-  /// Caches instrument pointers and binds the CQ collector on the first
-  /// round (no-op without a registry).
-  void resolve_metrics(sim::Simulation& simu);
+  /// Caches instrument pointers and the `scatter.<node>` flight ring, and
+  /// binds the CQ collector, on the first round (no-op without a
+  /// registry).
+  void resolve_metrics(os::Node& node);
 
   std::vector<FrontendMonitor*> targets_;
   // Round scratch, kept between rounds so a steady-state round allocates
@@ -74,7 +75,6 @@ class ScatterFetcher {
   net::CompletionQueue cq_;  ///< shared completion channel (+ wait queue)
   // Telemetry instruments (null when disabled / no registry installed).
   bool metrics_resolved_ = false;
-  telemetry::Registry* reg_ = nullptr;
   telemetry::Counter* m_rounds_ = nullptr;
   telemetry::Counter* m_ok_ = nullptr;
   telemetry::Counter* m_timeout_ = nullptr;
@@ -82,6 +82,7 @@ class ScatterFetcher {
   telemetry::HistogramMetric* m_round_slots_ = nullptr;
   telemetry::HistogramMetric* m_wave_width_ = nullptr;
   telemetry::HistogramMetric* m_retries_ = nullptr;
+  telemetry::FlightRing* fr_ = nullptr;  ///< one `round` event per round
   telemetry::ScopedCollector collector_;  ///< exports the shared CQ counters
 };
 

@@ -37,9 +37,6 @@ struct FabricConfig {
   /// ...plus per-byte cost of reading/writing host memory.
   double rdma_dma_per_byte_ns = 0.8;
 
-  /// User-space cost of posting a work request (doorbell write).
-  sim::Duration rdma_post_cost = sim::nsec(300);
-
   /// Socket path kernel costs (IPoIB-era protocol stack).
   sim::Duration socket_send_cost = sim::usec(8);
   sim::Duration socket_recv_cost = sim::usec(4);

@@ -92,7 +92,6 @@ class Nic {
   std::uint64_t tx_packets() const { return tx_packets_; }
   std::uint64_t rx_packets() const { return rx_packets_; }
   std::uint64_t rx_deferred() const { return rx_deferred_; }
-  std::uint64_t rdma_ops_served() const { return rdma_served_; }
   std::uint64_t rdma_ops_posted() const { return rdma_posted_; }
   /// Wire bytes of one-sided ops THIS node initiated (request + payload +
   /// ack/response), charged at post time — retried-and-failed ops consumed

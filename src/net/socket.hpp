@@ -65,7 +65,6 @@ class Socket {
   /// about socket replies through this without per-socket waiter threads.
   void add_rx_watcher(os::WaitQueue* wq) { rx_watchers_.push_back(wq); }
 
-  os::Node& local_node() { return *local_; }
   int remote_node_id() const { return remote_node_; }
 
   /// Delivery from the NIC receive path (protocol cost already paid).

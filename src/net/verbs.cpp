@@ -271,13 +271,6 @@ void QueuePair::post_read(MrKey rkey, std::size_t len, std::uint64_t wr_id,
   ctx_->post_read(remote_node_, rkey, len, wr_id, *cq_, force_signal);
 }
 
-void QueuePair::post_read_batch(const std::vector<ReadWr>& wrs) {
-  for (std::size_t i = 0; i < wrs.size(); ++i) {
-    post_read(wrs[i].rkey, wrs[i].len, wrs[i].wr_id,
-              /*force_signal=*/i + 1 == wrs.size());
-  }
-}
-
 void QueuePair::post_write(MrKey rkey, std::any value, std::size_t len,
                            std::uint64_t wr_id) {
   ctx_->post_write(remote_node_, rkey, std::move(value), len, wr_id, *cq_);

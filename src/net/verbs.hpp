@@ -355,13 +355,6 @@ class QpContext : public std::enable_shared_from_this<QpContext> {
   std::size_t batch_last_ = 0;
 };
 
-/// One work request of a multi-READ post (see QueuePair::post_read_batch).
-struct ReadWr {
-  MrKey rkey;
-  std::size_t len = 0;
-  std::uint64_t wr_id = 0;
-};
-
 /// Reliable-connected queue pair from a local NIC to a remote node. Posts
 /// flow through its QpContext — a private one by default, or a shared one
 /// passed at construction (DCT-style multiplexing; the context's NIC must
@@ -378,13 +371,6 @@ class QueuePair {
   /// signal-every-k policy decide (the batch closer is forced).
   void post_read(MrKey rkey, std::size_t len, std::uint64_t wr_id,
                  bool force_signal = true);
-
-  /// Posts a chain of READs as one work-request list: every WR is handed
-  /// to the NIC back-to-back and the caller pays a single doorbell cost
-  /// for the whole chain (charged by the posting subprogram, not here).
-  /// The chain's last WR is force-signaled; the rest follow the context's
-  /// signaling policy.
-  void post_read_batch(const std::vector<ReadWr>& wrs);
 
   /// Posts a one-sided WRITE of `value` to the remote region `rkey`.
   void post_write(MrKey rkey, std::any value, std::size_t len,

@@ -140,12 +140,6 @@ void Scheduler::remove_from_ready(SimThread* t) {
   level.erase(it);
 }
 
-int Scheduler::ready_count() const {
-  std::size_t n = 0;
-  for (const auto& level : ready_) n += level.size();
-  return static_cast<int>(n);
-}
-
 // --- dispatching -------------------------------------------------------------
 
 Scheduler::Cpu* Scheduler::find_idle_cpu(SimThread* t) {
@@ -473,21 +467,6 @@ void Scheduler::run_next_irq(Cpu& c) {
 sim::TimePoint Scheduler::round_up_tick(sim::TimePoint t) const {
   const std::int64_t tick = cfg_.tick().ns;
   return sim::TimePoint{(t.ns + tick - 1) / tick * tick};
-}
-
-// --- misc ----------------------------------------------------------------------
-
-bool Scheduler::cpu_idle(CpuId cpu) const {
-  const Cpu& c = cpus_[static_cast<std::size_t>(cpu)];
-  return c.current == nullptr && !c.in_irq;
-}
-
-bool Scheduler::cpu_in_irq(CpuId cpu) const {
-  return cpus_[static_cast<std::size_t>(cpu)].in_irq;
-}
-
-SimThread* Scheduler::running_on(CpuId cpu) const {
-  return cpus_[static_cast<std::size_t>(cpu)].current;
 }
 
 }  // namespace rdmamon::os

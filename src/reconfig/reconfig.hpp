@@ -83,10 +83,6 @@ class ReconfigManager {
   /// Spawns the manager thread.
   void start();
 
-  /// Current role of backend i, as the manager believes it to be.
-  Role role_of(int i) const {
-    return regions_[static_cast<std::size_t>(i)]->role();
-  }
   int nodes_in(Role r) const;
   std::uint64_t reconfigurations() const { return reconfigs_; }
   double pool_load(Role r) const;

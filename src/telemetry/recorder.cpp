@@ -62,18 +62,24 @@ std::vector<const FlightRing*> FlightRecorder::rings() const {
   return out;
 }
 
+std::vector<FlightRecorder::Tagged> FlightRecorder::merged() const {
+  std::vector<Tagged> out;
+  for (const auto& [name, ring] : rings_) {
+    for (const FlightEvent& ev : ring->events()) out.push_back({ring.get(), ev});
+  }
+  std::sort(out.begin(), out.end(), [](const Tagged& l, const Tagged& r) {
+    if (l.ev.at.ns != r.ev.at.ns) return l.ev.at.ns < r.ev.at.ns;
+    return l.ev.seq < r.ev.seq;
+  });
+  return out;
+}
+
 util::JsonValue FlightRecorder::dump(std::string_view reason) const {
   util::JsonValue doc = util::JsonValue::object();
   doc["reason"] = std::string(reason);
   doc["at_ns"] = static_cast<std::int64_t>(now().ns);
   util::JsonValue& ring_arr = doc["rings"];
   ring_arr = util::JsonValue::array();
-
-  struct Tagged {
-    const FlightRing* ring;
-    FlightEvent ev;
-  };
-  std::vector<Tagged> merged;
   for (const auto& [name, ring] : rings_) {
     util::JsonValue r = util::JsonValue::object();
     r["name"] = name;
@@ -81,18 +87,11 @@ util::JsonValue FlightRecorder::dump(std::string_view reason) const {
     r["recorded"] = ring->recorded();
     r["dropped"] = ring->dropped();
     ring_arr.push_back(std::move(r));
-    for (const FlightEvent& ev : ring->events()) {
-      merged.push_back({ring.get(), ev});
-    }
   }
-  std::sort(merged.begin(), merged.end(), [](const Tagged& l, const Tagged& r) {
-    if (l.ev.at.ns != r.ev.at.ns) return l.ev.at.ns < r.ev.at.ns;
-    return l.ev.seq < r.ev.seq;
-  });
 
   util::JsonValue& events = doc["events"];
   events = util::JsonValue::array();
-  for (const Tagged& t : merged) {
+  for (const Tagged& t : merged()) {
     util::JsonValue e = util::JsonValue::object();
     e["t_ns"] = static_cast<std::int64_t>(t.ev.at.ns);
     e["seq"] = t.ev.seq;

@@ -1,7 +1,11 @@
 // Always-on flight recorder: fixed-size per-subsystem event rings cheap
 // enough to leave enabled in every run, dumped as one merged,
 // time-ordered JSON post-mortem when something goes wrong (an SLO alarm
-// fires, a FaultInjector crash lands, or a test asserts).
+// fires, a FaultInjector crash lands, or a test asserts). It is the one
+// sink for run history: fetch and scatter-round outcomes, verbs posts
+// and completions, faults, health transitions, membership changes, SLO
+// alarm edges and QoS arbitration verdicts all land here, each fact
+// recorded once.
 //
 // Design constraints mirror the registry's:
 //
@@ -106,6 +110,14 @@ class FlightRecorder {
   std::vector<const FlightRing*> rings() const;
 
   std::uint64_t total_recorded() const { return seq_; }
+
+  /// One event of the merged timeline, tagged with its ring.
+  struct Tagged {
+    const FlightRing* ring;
+    FlightEvent ev;
+  };
+  /// Every ring's surviving events, sorted by (time, seq).
+  std::vector<Tagged> merged() const;
 
   /// Merged dump: every ring's surviving events, sorted by (time, seq),
   /// plus per-ring loss accounting. `reason` says why the dump happened.

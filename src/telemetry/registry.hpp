@@ -1,6 +1,7 @@
 // The telemetry plane's metrics registry: labelled counters, gauges and
 // log-bucketed histograms (reusing sim::Histogram / sim::OnlineStats),
-// plus the span tracer, bound to one simulation run.
+// plus the flight recorder (the run's one event history), bound to one
+// simulation run.
 //
 // Design constraints, in order:
 //
@@ -36,7 +37,6 @@
 #include "sim/stats.hpp"
 #include "sim/time.hpp"
 #include "telemetry/recorder.hpp"
-#include "telemetry/span.hpp"
 
 namespace rdmamon::telemetry {
 
@@ -153,10 +153,6 @@ class Registry {
   std::uint64_t add_collector(std::function<void(Registry&)> fn);
   void remove_collector(std::uint64_t id);
 
-  /// The span tracer sharing this registry's clock.
-  SpanTracer& spans() { return spans_; }
-  const SpanTracer& spans() const { return spans_; }
-
   /// The always-on flight recorder sharing this registry's clock.
   /// Components cache FlightRing pointers from it at wiring time.
   FlightRecorder& recorder() { return recorder_; }
@@ -192,7 +188,6 @@ class Registry {
   std::vector<std::pair<std::uint64_t, std::function<void(Registry&)>>>
       collectors_;
   std::uint64_t next_collector_id_ = 1;
-  SpanTracer spans_;
   FlightRecorder recorder_;
   SloEngine* slo_ = nullptr;
 };
@@ -237,24 +232,6 @@ inline void observe(HistogramMetric* h, double v) noexcept {
 
 inline void observe(HistogramMetric* h, sim::Duration d) noexcept {
   observe(h, static_cast<double>(d.ns));
-}
-
-// --- span helpers (null-registry tolerant) ---------------------------------
-
-inline SpanId span_begin(Registry* r, std::string_view component,
-                         std::string_view name, SpanId cause = {}) {
-  return r ? r->spans().begin(component, name, cause) : SpanId{};
-}
-
-inline void span_end(Registry* r, SpanId id, std::string_view outcome = "ok") {
-  if (r && id) r->spans().end(id, outcome);
-}
-
-/// Instantaneous annotated span (fault events, health transitions).
-inline void span_event(Registry* r, std::string_view component,
-                       std::string_view name, std::string note,
-                       SpanId cause = {}) {
-  if (r) r->spans().event(component, name, std::move(note), cause);
 }
 
 }  // namespace rdmamon::telemetry

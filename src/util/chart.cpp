@@ -25,8 +25,6 @@ void AsciiChart::add_series(Series s) {
   series_.push_back(std::move(s));
 }
 
-void AsciiChart::set_height(int rows) { height_ = std::max(rows, 4); }
-
 void AsciiChart::set_y_range(double lo, double hi) {
   fixed_range_ = true;
   y_lo_ = lo;
@@ -59,7 +57,7 @@ std::string AsciiChart::render() const {
     if (hi == lo) hi = lo + 1.0;
   }
 
-  const int h = height_;
+  const int h = kHeight;
   // grid[row][col] marker; row 0 = top.
   std::vector<std::string> grid(static_cast<std::size_t>(h),
                                 std::string(ncols * colw, ' '));

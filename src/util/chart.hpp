@@ -32,9 +32,6 @@ class AsciiChart {
   /// Adds a series; `ys.size()` must equal the number of x labels.
   void add_series(Series s);
 
-  /// Sets chart body height in rows (default 16, min 4).
-  void set_height(int rows);
-
   /// Forces the y range; by default it spans [min(0,data), max(data)].
   void set_y_range(double lo, double hi);
 
@@ -45,7 +42,7 @@ class AsciiChart {
   std::string title_;
   std::vector<std::string> x_labels_;
   std::vector<Series> series_;
-  int height_ = 16;
+  static constexpr int kHeight = 16;  ///< chart body rows
   bool fixed_range_ = false;
   double y_lo_ = 0.0, y_hi_ = 1.0;
 };

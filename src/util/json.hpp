@@ -39,7 +39,6 @@ class JsonValue {
   }
 
   Kind kind() const { return kind_; }
-  bool is_null() const { return kind_ == Kind::Null; }
 
   /// Object access; creates the member (and coerces a Null value to an
   /// object) if absent.

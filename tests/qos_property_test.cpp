@@ -8,7 +8,8 @@
 //    proportion over a window;
 //  - intra-tenant FIFO: arbitration never reorders one tenant's ops;
 //  - determinism: the same seeded submission schedule yields a
-//    byte-identical decision trace, a different seed does not;
+//    byte-identical decision history (the flight recorder's `qos`
+//    ring), a different seed does not;
 //  - token-bucket cap: admitted bytes by time T never exceed
 //    burst + rate*T (+ one op of slack);
 //  - queue cap: floods beyond the cap drop, and the counters reconcile
@@ -24,6 +25,7 @@
 #include "sim/random.hpp"
 #include "sim/simulation.hpp"
 #include "sim/time.hpp"
+#include "telemetry/registry.hpp"
 
 namespace rdmamon {
 namespace {
@@ -112,9 +114,10 @@ TEST(QosProperty, NoIntraTenantReordering) {
   }
 }
 
-/// One seeded submission schedule against a rate-capped tenant (so the
-/// trace contains defers, not just back-to-back admits); returns the
-/// arbiter's decision trace.
+/// One seeded submission schedule against a rate-capped tenant (so
+/// admissions wait on tokens, not just back-to-back); returns the
+/// arbiter's decision history, one "t tenant bytes seq verdict" line per
+/// record of the `qos` flight ring.
 std::string run_trace_scenario(std::uint64_t seed) {
   net::QosConfig cfg = enabled_config();
   net::TenantQosSpec capped;
@@ -124,6 +127,8 @@ std::string run_trace_scenario(std::uint64_t seed) {
   cfg.tenants.push_back(capped);
 
   sim::Simulation simu;
+  telemetry::Registry reg;
+  reg.install(simu);  // before the arbiter: it caches its ring at birth
   net::TenantArbiter arb(simu, cfg, 1e8);
   sim::Rng rng(seed);
   for (int k = 0; k < 60; ++k) {
@@ -134,7 +139,20 @@ std::string run_trace_scenario(std::uint64_t seed) {
     simu.at(at, [&arb, t, bytes] { arb.submit(t, bytes, [] {}); });
   }
   simu.run_for(msec(100));
-  return arb.trace();
+  const telemetry::FlightRing* ring = reg.recorder().ring("qos");
+  std::uint64_t decided = 0;
+  for (const net::TenantId t : arb.tenants()) {
+    decided += arb.stats(t).admitted + arb.stats(t).dropped;
+  }
+  EXPECT_EQ(ring->recorded(), decided) << "one record per decision";
+  EXPECT_EQ(ring->dropped(), 0u);
+  std::string trace;
+  for (const telemetry::FlightEvent& e : ring->events()) {
+    trace += std::to_string(e.at.ns) + " " + std::to_string(e.a) + " " +
+             std::to_string(e.b) + " " + std::to_string(e.x) + " " + e.kind +
+             "\n";
+  }
+  return trace;
 }
 
 TEST(QosProperty, DecisionTraceIsSeedDeterministic) {

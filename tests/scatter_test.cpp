@@ -115,21 +115,27 @@ struct RdmaEnv {
 };
 
 TEST(PostReadBatch, OneQpChainCompletesEveryWr) {
+  // Four READs chained on ONE QP: the cross-QP poster closes the QP's
+  // chain with a single signaled tail, and every WR still completes
+  // under one doorbell.
   RdmaEnv env(1);
   net::CompletionQueue cq;
   net::QueuePair qp(env.fabric.nic(env.frontend.id), env.backends[0]->id, cq);
-  std::vector<net::ReadWr> wrs;
+  std::vector<net::ReadBatchEntry> batch;
   for (std::uint64_t i = 0; i < 4; ++i) {
-    wrs.push_back({env.keys[0], 256, cq.alloc_wr_id()});
+    batch.push_back({&qp, env.keys[0], 256, cq.alloc_wr_id()});
   }
+  sim::Duration issue_time{};
   env.frontend.spawn("poster", [&](SimThread& self) -> Program {
-    co_await os::Compute{net::kDoorbellCost};
-    qp.post_read_batch(wrs);
+    const sim::TimePoint t0 = env.simu.now();
+    co_await net::post_read_batch(self, batch);
+    issue_time = env.simu.now() - t0;
   });
   env.simu.run_for(msec(10));
+  EXPECT_LT(issue_time.ns, 3 * net::kDoorbellCost.ns);
   ASSERT_EQ(cq.size(), 4u);
-  for (const net::ReadWr& wr : wrs) {
-    const net::Completion* c = cq.find(wr.wr_id);
+  for (const net::ReadBatchEntry& e : batch) {
+    const net::Completion* c = cq.find(e.wr_id);
     ASSERT_NE(c, nullptr);
     EXPECT_EQ(c->status, net::WcStatus::Success);
   }

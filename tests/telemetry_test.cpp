@@ -8,6 +8,8 @@
 #include <string>
 #include <vector>
 
+#include "fault/fault.hpp"
+#include "lb/balancer.hpp"
 #include "monitor/inbox.hpp"
 #include "monitor/meta.hpp"
 #include "monitor/monitor.hpp"
@@ -18,7 +20,6 @@
 #include "sim/simulation.hpp"
 #include "telemetry/export.hpp"
 #include "telemetry/registry.hpp"
-#include "telemetry/span.hpp"
 
 // Global allocation counter for the disabled-path no-allocation proof.
 // gtest itself allocates, so tests bracket exactly the code under test.
@@ -170,70 +171,6 @@ TEST(Registry, OfReturnsInstalledRegistryOrNull) {
   EXPECT_EQ(Registry::of(simu), &reg);
 }
 
-TEST(Spans, NestingAndCauseLinking) {
-  Registry reg;
-  SpanTracer& tr = reg.spans();
-  const SpanId fetch = tr.begin("monitor", "fetch");
-  const SpanId attempt1 = tr.begin("monitor", "attempt", fetch);
-  tr.end(attempt1, "timeout");
-  const SpanId attempt2 = tr.begin("monitor", "attempt", fetch);
-  tr.note(attempt2, "retry after backoff");
-  tr.end(attempt2, "ok");
-  tr.end(fetch, "ok");
-
-  EXPECT_EQ(tr.open_count(), 0u);
-  ASSERT_EQ(tr.finished().size(), 3u);
-  const Span* a1 = tr.find_finished(attempt1);
-  const Span* a2 = tr.find_finished(attempt2);
-  const Span* f = tr.find_finished(fetch);
-  ASSERT_NE(a1, nullptr);
-  ASSERT_NE(a2, nullptr);
-  ASSERT_NE(f, nullptr);
-  EXPECT_EQ(a1->cause, fetch.id);
-  EXPECT_EQ(a2->cause, fetch.id);
-  EXPECT_EQ(f->cause, 0u);
-  EXPECT_EQ(a1->outcome, "timeout");
-  EXPECT_EQ(a2->outcome, "ok");
-  ASSERT_EQ(a2->notes.size(), 1u);
-  EXPECT_EQ(a2->notes[0], "retry after backoff");
-}
-
-TEST(Spans, BoundedRingDropsOldestFinished) {
-  SpanTracer tr;
-  tr.set_capacity(4);
-  std::vector<SpanId> ids;
-  for (int i = 0; i < 10; ++i) {
-    const SpanId s = tr.begin("x", "s" + std::to_string(i));
-    tr.end(s);
-    ids.push_back(s);
-  }
-  EXPECT_EQ(tr.finished().size(), 4u);
-  EXPECT_EQ(tr.started(), 10u);
-  EXPECT_EQ(tr.dropped(), 6u);
-  EXPECT_EQ(tr.find_finished(ids.front()), nullptr);  // evicted
-  EXPECT_NE(tr.find_finished(ids.back()), nullptr);
-  EXPECT_EQ(tr.finished().front().name, "s6");
-}
-
-TEST(Spans, EndOfUnknownIdIsNoop) {
-  SpanTracer tr;
-  tr.end(SpanId{9999});      // never started
-  tr.note(SpanId{9999}, "x");
-  EXPECT_EQ(tr.finished().size(), 0u);
-  EXPECT_FALSE(SpanId{});
-  EXPECT_TRUE(SpanId{1});
-}
-
-TEST(Spans, EventIsInstantAnnotatedSpan) {
-  Registry reg;
-  const SpanId e = reg.spans().event("fault", "crash", "node2 down");
-  const Span* s = reg.spans().find_finished(e);
-  ASSERT_NE(s, nullptr);
-  EXPECT_EQ(s->begin.ns, s->end.ns);
-  ASSERT_EQ(s->notes.size(), 1u);
-  EXPECT_EQ(s->notes[0], "node2 down");
-}
-
 TEST(RecordHelpers, NullTolerant) {
   // The hot-path helpers must accept null instrument pointers (registry
   // absent) without crashing.
@@ -242,9 +179,8 @@ TEST(RecordHelpers, NullTolerant) {
   set(nullptr, 1.0);
   observe(static_cast<HistogramMetric*>(nullptr), 2.0);
   observe(static_cast<HistogramMetric*>(nullptr), sim::usec(3));
-  EXPECT_FALSE(span_begin(nullptr, "c", "n"));
-  span_end(nullptr, SpanId{1});
-  span_event(nullptr, "c", "n", "note");
+  fr_record(nullptr, "c", 1, 2, 3.0);
+  fr_record_at(nullptr, sim::TimePoint{}, "c");
 }
 
 TEST(RecordHelpers, DisabledPathDoesNotAllocate) {
@@ -253,13 +189,13 @@ TEST(RecordHelpers, DisabledPathDoesNotAllocate) {
   Counter* c = nullptr;
   Gauge* g = nullptr;
   HistogramMetric* h = nullptr;
-  Registry* r = nullptr;
+  FlightRing* r = nullptr;
   const std::uint64_t before = g_allocs;
   for (int i = 0; i < 1000; ++i) {
     add(c);
     set(g, static_cast<double>(i));
     observe(h, static_cast<double>(i));
-    span_end(r, SpanId{}, "ok");
+    fr_record(r, "fetch.ok", i, 1, 0.0);
   }
   EXPECT_EQ(g_allocs, before);
 }
@@ -292,15 +228,25 @@ TEST(Export, JsonRoundTripsThroughDump) {
 }
 
 TEST(Export, DashboardPrintsGroupedMetricsAndSpans) {
+  // The "last events" tail of the dashboard is the recorder's merged
+  // timeline: newest last, only the requested count.
   Registry reg;
   reg.counter("net.verbs.posts", Labels{{"node", "fe"}}).inc(3);
-  const SpanId s = reg.spans().begin("monitor", "fetch");
-  reg.spans().end(s, "ok");
+  FlightRing* mon = reg.recorder().ring("monitor.fe");
+  mon->record_at(sim::TimePoint{1000}, "attempt.timeout", 2, 1, 5e6);
+  mon->record_at(sim::TimePoint{3000}, "fetch.ok", 2, 2, 7e6);
+  reg.recorder().ring("fault")->record_at(sim::TimePoint{2000}, "crash", 2);
   std::ostringstream os;
-  print_dashboard(os, reg.snapshot(), &reg.spans());
+  print_dashboard(os, reg.snapshot(), &reg.recorder(), 2);
   const std::string out = os.str();
   EXPECT_NE(out.find("net.verbs.posts"), std::string::npos);
-  EXPECT_NE(out.find("monitor/fetch"), std::string::npos);
+  EXPECT_NE(out.find("-- last events --"), std::string::npos);
+  EXPECT_EQ(out.find("attempt.timeout"), std::string::npos);  // beyond N=2
+  const std::size_t crash = out.find("[fault] crash a=2");
+  const std::size_t fetch = out.find("[monitor.fe] fetch.ok a=2 b=2");
+  ASSERT_NE(crash, std::string::npos);
+  ASSERT_NE(fetch, std::string::npos);
+  EXPECT_LT(crash, fetch);
 }
 
 TEST(Export, DashboardSectionsAreSortedAndStable) {
@@ -472,9 +418,155 @@ TEST(Integration, MonitorRunPopulatesRegistry) {
   EXPECT_GT(lat->hist.p50, 0.0);
   // Verbs-layer instruments appeared too.
   EXPECT_NE(snap.find("net.nic.rdma_posted", "node=fe"), nullptr);
-  // Fetch spans were recorded and closed.
-  EXPECT_GT(reg.spans().finished().size(), 0u);
-  EXPECT_EQ(reg.spans().open_count(), 0u);
+  // Every fetch left one outcome record (plus its attempt) in the front
+  // end's monitor ring.
+  const FlightRing* ring = reg.recorder().ring("monitor.fe");
+  int fetch_ok = 0, attempt_ok = 0;
+  for (const FlightEvent& e : ring->events()) {
+    if (std::string(e.kind) == "fetch.ok") ++fetch_ok;
+    if (std::string(e.kind) == "attempt.ok") ++attempt_ok;
+    EXPECT_EQ(e.a, be.id);
+  }
+  EXPECT_EQ(fetch_ok, okay);
+  EXPECT_EQ(attempt_ok, okay);
+}
+
+// --- one fact, one flight record ---------------------------------------------
+
+/// Fast-failing monitor tuning: a full fetch (1 try + 2 retries with 2/4 ms
+/// backoff) resolves within ~21 ms.
+monitor::MonitorConfig fast_rdma_cfg() {
+  monitor::MonitorConfig cfg;
+  cfg.scheme = monitor::Scheme::RdmaSync;
+  cfg.fetch_timeout = sim::msec(5);
+  cfg.fetch_retries = 2;
+  cfg.retry_backoff = sim::msec(2);
+  return cfg;
+}
+
+TEST(FlightHistory, FailingFetchLeavesAttemptAndFetchRecords) {
+  sim::Simulation simu;
+  Registry reg;
+  reg.install(simu);
+  net::Fabric fabric(simu, {});
+  os::Node fe(simu, {.name = "fe"}), be(simu, {.name = "be"});
+  fabric.attach(fe);
+  fabric.attach(be);
+  monitor::MonitorChannel chan(fabric, fe, be, fast_rdma_cfg());
+  fabric.inject_crash(be.id);
+  monitor::MonitorSample s;
+  fe.spawn("mon", [&](os::SimThread& self) -> os::Program {
+    co_await chan.frontend().fetch(self, s);
+  });
+  simu.run_for(sim::seconds(1));
+  ASSERT_FALSE(s.ok);
+  ASSERT_EQ(s.attempts, 3);
+
+  // Three attempt records then one fetch record, all naming the back end.
+  const std::vector<FlightEvent> ev =
+      reg.recorder().ring("monitor.fe")->events();
+  ASSERT_EQ(ev.size(), 4u);
+  const std::string err = monitor::to_string(s.error);
+  double attempt_ns = 0.0;
+  for (int k = 0; k < 3; ++k) {
+    EXPECT_EQ(std::string(ev[k].kind), "attempt." + err);
+    EXPECT_EQ(ev[k].a, be.id);
+    EXPECT_EQ(ev[k].b, k + 1);
+    EXPECT_GT(ev[k].x, 0.0);
+    attempt_ns += ev[k].x;
+  }
+  EXPECT_EQ(std::string(ev[3].kind), "fetch." + err);
+  EXPECT_EQ(ev[3].a, be.id);
+  EXPECT_EQ(ev[3].b, 3);
+  EXPECT_DOUBLE_EQ(ev[3].x, static_cast<double>(s.latency().ns));
+  EXPECT_GT(ev[3].x, attempt_ns);  // the fetch also spent its backoffs
+}
+
+/// A traced balancer over three RDMA-Sync back ends (registry installed
+/// before wiring, so every component caches its flight ring).
+struct TracedLb {
+  sim::Simulation simu;
+  Registry reg;
+  std::unique_ptr<net::Fabric> fabric;
+  std::unique_ptr<os::Node> fe;
+  std::vector<std::unique_ptr<os::Node>> backends;
+  lb::LoadBalancer lb{
+      lb::WeightConfig::for_scheme(monitor::Scheme::RdmaSync)};
+
+  TracedLb() {
+    reg.install(simu);
+    fabric = std::make_unique<net::Fabric>(simu, net::FabricConfig{});
+    fe = std::make_unique<os::Node>(simu, os::NodeConfig{.name = "fe"});
+    fabric->attach(*fe);
+    for (int i = 0; i < 3; ++i) {
+      os::NodeConfig cfg;
+      cfg.name = "b" + std::to_string(i);
+      backends.push_back(std::make_unique<os::Node>(simu, cfg));
+      fabric->attach(*backends.back());
+      lb.add_backend(std::make_unique<monitor::MonitorChannel>(
+          *fabric, *fe, *backends.back(), fast_rdma_cfg()));
+    }
+    lb.start(*fe, sim::msec(10));
+  }
+
+  /// Every `kind` event in the merged timeline.
+  std::vector<FlightRecorder::Tagged> all(const std::string& kind) const {
+    std::vector<FlightRecorder::Tagged> out;
+    for (const FlightRecorder::Tagged& t : reg.recorder().merged()) {
+      if (kind == t.ev.kind) out.push_back(t);
+    }
+    return out;
+  }
+};
+
+TEST(FlightHistory, CrashWithRecoveryRecordsEachFactOnce) {
+  TracedLb env;
+  const int victim = 1;
+  const int victim_node = env.backends[victim]->id;
+  fault::FaultInjector inj(*env.fabric);
+  fault::FaultPlan plan;
+  plan.crash_for(victim_node, sim::TimePoint{sim::msec(50).ns},
+                 sim::msec(350));
+  inj.arm(plan);
+  env.simu.run_for(sim::msec(900));
+  ASSERT_EQ(env.lb.health_of(victim), lb::BackendHealth::Healthy);
+
+  // The fault and its recovery: one record each, in the fault ring.
+  for (const char* kind : {"crash", "recover"}) {
+    const auto ev = env.all(kind);
+    ASSERT_EQ(ev.size(), 1u) << kind;
+    EXPECT_EQ(ev[0].ring->name(), "fault");
+    EXPECT_EQ(ev[0].ev.a, victim_node);
+  }
+  // The health ladder: suspect -> dead -> healthy, each edge once, all in
+  // the lb ring, none of them a takeover reset (x = 0).
+  std::vector<std::int64_t> ladder;
+  for (const FlightRecorder::Tagged& t : env.all("health")) {
+    EXPECT_EQ(t.ring->name(), "lb");
+    EXPECT_EQ(t.ev.a, victim);
+    EXPECT_EQ(t.ev.x, 0.0);
+    ladder.push_back(t.ev.b);
+  }
+  const std::vector<std::int64_t> expected{
+      static_cast<std::int64_t>(lb::BackendHealth::Suspect),
+      static_cast<std::int64_t>(lb::BackendHealth::Dead),
+      static_cast<std::int64_t>(lb::BackendHealth::Healthy)};
+  EXPECT_EQ(ladder, expected);
+}
+
+TEST(FlightHistory, TakeoverResetRecordsPriorStateOnce) {
+  TracedLb env;
+  env.fabric->inject_crash(env.backends[0]->id);
+  env.simu.run_for(sim::msec(400));
+  ASSERT_EQ(env.lb.health_of(0), lb::BackendHealth::Dead);
+  env.lb.reset_health(0);  // a shard takeover re-seeds the ladder
+  env.lb.reset_health(0);  // already healthy: no transition, no record
+
+  const auto ev = env.all("health");
+  ASSERT_EQ(ev.size(), 3u);  // suspect, dead, reset
+  EXPECT_EQ(ev[2].ev.a, 0);
+  EXPECT_EQ(ev[2].ev.b, static_cast<std::int64_t>(lb::BackendHealth::Healthy));
+  EXPECT_EQ(ev[2].ev.x, static_cast<double>(lb::BackendHealth::Dead));
 }
 
 TEST(Integration, IdenticalRunsYieldIdenticalExports) {

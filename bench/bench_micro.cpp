@@ -111,7 +111,7 @@ void BM_SimulatedRdmaRead(benchmark::State& state) {
   fabric.attach(a);
   fabric.attach(b);
   net::MrKey key =
-      fabric.nic(1).register_mr(256, [] { return std::any(1); });
+      fabric.nic(1).register_mr(256, [] { return net::Payload(1); });
   net::CompletionQueue cq;
   net::QueuePair qp(fabric.nic(0), 1, cq);
   double last_us = 0;

@@ -12,7 +12,6 @@
 //    its cap, the victim's staleness p99 stays inside the SLO, and the
 //    per-tenant admit/defer/drop counters tell the story. CI asserts
 //    both the protection and the throttle ratio.
-#include <any>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -114,8 +113,9 @@ ArmResult run_arm(bool qos_on, bool quick, std::uint64_t seed) {
   for (int i = 0; i < cfg.backends; ++i) {
     net::Nic& bn = bed.fabric().nic(bed.backend(i).id);
     targets.push_back({bed.backend(i).id,
-                       bn.register_mr(scfg.op_bytes, [] { return std::any{}; },
-                                      false, nullptr, kHogTenant)});
+                       bn.register_mr(scfg.op_bytes,
+                                      [] { return net::Payload{}; }, false,
+                                      nullptr, kHogTenant)});
   }
   workload::TenantStorm storm(bed.fabric(), bed.frontend(), targets, scfg);
 

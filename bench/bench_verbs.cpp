@@ -71,7 +71,7 @@ CqModCell run_cq_mod(int k, std::size_t depth, std::uint64_t ops) {
   os::Node server(simu, {.name = "server"});
   fabric.attach(server);
   const net::MrKey mr =
-      fabric.nic(server.id).register_mr(kLen, [] { return std::any(42); });
+      fabric.nic(server.id).register_mr(kLen, [] { return net::Payload(42); });
 
   CqModCell cell;
   cell.k = k;
@@ -162,7 +162,7 @@ QpcCell run_qpc(int n, int pool, std::size_t cache_entries, int rounds) {
         simu, os::NodeConfig{.name = "be" + std::to_string(i)}));
     fabric.attach(*targets.back());
     mrs.push_back(fabric.nic(targets.back()->id)
-                      .register_mr(64, [] { return std::any(1); }));
+                      .register_mr(64, [] { return net::Payload(1); }));
   }
 
   net::VerbsTuning vt;

@@ -7,7 +7,8 @@
 #   ./ci.sh perf       # Release build, DES-kernel perf smoke (bench_engine)
 #   ./ci.sh slo        # freshness plane only: ctest -L slo + bench_freshness
 #   ./ci.sh perfbench  # repository benchmark smoke: perfbench_test + one
-#                      # short run per workload, gated on its own checks
+#                      # short run per workload, gated on its own checks,
+#                      # plus the rubis_zipf allocations-per-request gate
 #
 # Tests carrying ctest LABELS slow (golden-trace bench replays) are kept
 # out of tier-1 to hold its wall-clock; they run in the sanitize and
@@ -147,8 +148,11 @@ elif [[ "${1:-}" == "slo" ]]; then
 import json
 doc = json.load(open("bench-results/BENCH_freshness.json"))
 oh = doc["recorder_overhead"]
-print(f"recorder overhead: {oh['recorder_delta_pct']:.2f}% "
-      "(budget <= 1% of wall)")
+print(f"recorder overhead over {oh['reps']} interleaved reps: median "
+      f"{oh['recorder_delta_median_pct']:.2f}% [IQR "
+      f"{oh['recorder_delta_q1_pct']:.2f} .. "
+      f"{oh['recorder_delta_q3_pct']:.2f}%] -> {oh['recorder_verdict']} "
+      f"(budget <= {oh['recorder_budget_pct']:.0f}% of wall)")
 assert oh["ages_match"], "recorder toggle changed the simulated ages"
 for row in doc["results"]:
     assert row["age_p99_us"] >= row["age_p50_us"] > 0, row
@@ -176,6 +180,22 @@ assert doc["correct"], "perfbench output or digest check failed"
 assert doc["failed"] == 0, "perfbench workload had failed operations"
 EOF
   done
+  # Allocation gate of the served-request path: one traced rubis_zipf run
+  # must stay at or under 1.2 heap allocations per served request
+  # (measured 1.12: the dispatcher's pending-table node plus the
+  # dispatch-log deque's chunks; 54 before socket messages rode pooled
+  # fabric slots with inline payloads).
+  python3 perfbench/run.py --workload rubis_zipf --seed 1 --seconds 1 \
+    --trace 1 | tail -n 1 > bench-results/perfbench_rubis_zipf_traced.json
+  python3 - bench-results/perfbench_rubis_zipf_traced.json <<'EOF'
+import json
+import sys
+doc = json.load(open(sys.argv[1]))
+per_op = doc["metrics"]["alloc.per_op"]["value"]
+print(f"rubis_zipf alloc.per_op: {per_op:.2f} (ceiling 1.2)")
+assert doc["correct"], "perfbench output or digest check failed"
+assert per_op <= 1.2, "served-request path allocates above its ceiling"
+EOF
 elif [[ "${1:-}" == "perf" ]]; then
   # DES-kernel perf smoke: Release build, quick bench_engine run. The
   # binary itself exits non-zero if the timer-wheel kernel heap-allocates

@@ -67,7 +67,7 @@ int main() {
     co_await net::rdma_read_sync(self, qp, meta.mr_key(),
                                  meta.config().slot_bytes, c);
     if (c.status == net::WcStatus::Success) {
-      remote = std::any_cast<telemetry::Snapshot>(c.data);
+      remote = c.data.get<telemetry::Snapshot>();
       remote_ok = true;
     }
   });

@@ -1,7 +1,6 @@
 #include "cluster/scaleout.hpp"
 
 #include <algorithm>
-#include <any>
 #include <cassert>
 
 namespace rdmamon::cluster {
@@ -97,7 +96,7 @@ void FrontendPlane::wire(sim::Duration granularity) {
   // poller stalls stops refreshing while its NIC keeps serving, which
   // is exactly the stale-view signal peers key on.
   view_mr_ = plane_->fabric().nic(node_->id).register_mr(
-      plane_->config().view_bytes, [this] { return std::any(view_); });
+      plane_->config().view_bytes, [this] { return net::Payload(view_); });
 
   // One QP per peer front end, completing into our own gossip CQ.
   peer_qps_.resize(static_cast<std::size_t>(plane_->frontend_count()));
@@ -254,7 +253,7 @@ os::Program FrontendPlane::gossip_body(os::SimThread& self) {
           completed && c.status == net::WcStatus::Success;
       bool fresh = false;
       if (read_ok) {
-        const auto v = std::any_cast<ShardView>(c.data);
+        const ShardView& v = c.data.get<ShardView>();
         ++gossip_ok_;
         telemetry::add(m_gossip_ok_);
         process_view(v);

@@ -1,7 +1,5 @@
 #include "ganglia/ganglia.hpp"
 
-#include <any>
-
 namespace rdmamon::ganglia {
 
 GmondDaemon::GmondDaemon(net::Fabric& fabric, os::Node& node,
@@ -81,7 +79,7 @@ os::Program GmondDaemon::peer_rx_body(os::SimThread& self,
   for (;;) {
     net::Message m;
     co_await sock->recv(self, m);
-    const MetricPacket pkt = std::any_cast<MetricPacket>(m.payload);
+    const MetricPacket pkt = m.payload.get<MetricPacket>();
     store(pkt.host, pkt.name, pkt.value);
   }
 }

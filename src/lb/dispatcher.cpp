@@ -1,7 +1,5 @@
 #include "lb/dispatcher.hpp"
 
-#include <any>
-
 namespace rdmamon::lb {
 
 Dispatcher::Dispatcher(net::Fabric& fabric, os::Node& frontend,
@@ -77,7 +75,7 @@ os::Program Dispatcher::forwarder_body(os::SimThread& self,
   for (;;) {
     net::Message m;
     co_await from_client->recv(self, m);
-    web::Request req = std::any_cast<web::Request>(m.payload);
+    web::Request req = m.payload.get<web::Request>();
     co_await os::Compute{cfg_.dispatch_cpu};
     const int backend = lb_->pick();
     if (admission_ != nullptr &&
@@ -103,7 +101,7 @@ os::Program Dispatcher::router_body(os::SimThread& self,
   for (;;) {
     net::Message m;
     co_await from_backend->recv(self, m);
-    const web::Reply reply = std::any_cast<web::Reply>(m.payload);
+    const web::Reply reply = m.payload.get<web::Reply>();
     auto it = pending_.find(reply.id);
     if (it == pending_.end()) continue;  // duplicate/late/failed-over; drop
     net::Socket* to_client = it->second.client;

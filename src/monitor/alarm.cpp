@@ -1,7 +1,5 @@
 #include "monitor/alarm.hpp"
 
-#include <any>
-
 #include "net/nic.hpp"
 #include "os/thread.hpp"
 
@@ -12,7 +10,7 @@ AlarmMonitor::AlarmMonitor(net::Fabric& fabric, os::Node& owner,
                            AlarmMonitorConfig cfg)
     : owner_(&owner), engine_(&engine), cfg_(cfg) {
   mr_key_ = fabric.nic(owner.id).register_mr(
-      cfg_.slot_bytes, [slot = &slot_] { return std::any(*slot); });
+      cfg_.slot_bytes, [slot = &slot_] { return net::Payload(*slot); });
   // Edge-triggered out-of-band refresh: runs synchronously inside the
   // engine's evaluate (event context, no thread to charge), so the copy
   // is uncharged — edges are rare by construction and the periodic

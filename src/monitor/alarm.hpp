@@ -9,7 +9,7 @@
 //   net::QueuePair qp{fabric.nic(reader.id), alarms.node_id(), cq};
 //   co_await net::rdma_read_sync(self, qp, alarms.mr_key(),
 //                                alarms.config().slot_bytes, c);
-//   auto view = std::any_cast<telemetry::AlarmView>(c.data);
+//   auto view = c.data.get<telemetry::AlarmView>();
 //
 // The publisher also refreshes IMMEDIATELY on every alarm edge (via
 // SloEngine::on_edge), so the window in which a remote reader sees a

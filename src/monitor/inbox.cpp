@@ -5,6 +5,9 @@
 
 namespace rdmamon::monitor {
 
+// An inbox WRITE's image rides inline in its work request.
+static_assert(net::Payload::fits_inline<InboxWrite>);
+
 double change_delta(const os::LoadSnapshot& a, const os::LoadSnapshot& b) {
   // Same capacities the balancer's load index normalises with: a delta of
   // 0.05 here moves the index by at most ~0.05 — the threshold is in
@@ -38,8 +41,8 @@ PushInbox::PushInbox(net::Fabric& fabric, os::Node& frontend, int slots,
   key_ = nic_->register_mr(
       slot_bytes_ * static_cast<std::size_t>(slots),
       /*reader=*/nullptr,
-      /*remote_writable=*/true, [this](const std::any& v) {
-        const auto& w = std::any_cast<const InboxWrite&>(v);
+      /*remote_writable=*/true, [this](const net::Payload& v) {
+        const auto& w = v.get<InboxWrite>();
         if (w.slot < 0 || w.slot >= this->slots()) return;  // out of bounds: dropped
         slots_[static_cast<std::size_t>(w.slot)] = w.value;
         ++writes_applied_;
@@ -195,7 +198,7 @@ os::Program PushPublisher::body(os::SimThread& self) {
     image.seq_check = seq_;
     co_await os::Compute{net::kDoorbellCost};
     net::count_doorbell(qp_->context().nic(), 1);
-    qp_->post_write(inbox_key_, std::any(InboxWrite{slot_, image}),
+    qp_->post_write(inbox_key_, net::Payload(InboxWrite{slot_, image}),
                     cfg_.slot_bytes, cq_.alloc_wr_id());
     in_flight_ = true;
     has_pushed_ = true;

@@ -18,7 +18,6 @@
 // consumed one (no time travel from reordered or replayed writes).
 #pragma once
 
-#include <any>
 #include <cstdint>
 #include <optional>
 #include <vector>

@@ -1,7 +1,5 @@
 #include "monitor/meta.hpp"
 
-#include <any>
-
 #include "net/nic.hpp"
 #include "os/thread.hpp"
 
@@ -16,7 +14,7 @@ TelemetrySelfMonitor::TelemetrySelfMonitor(net::Fabric& fabric,
   // registered region: readers see the last PUBLISHED snapshot, not a
   // fresh one (that asynchrony is the scheme's defining trade-off).
   mr_key_ = fabric.nic(owner.id).register_mr(
-      cfg_.slot_bytes, [slot = &slot_] { return std::any(*slot); });
+      cfg_.slot_bytes, [slot = &slot_] { return net::Payload(*slot); });
   publisher_ = owner.spawn("telemetry-pub", [this](os::SimThread& t) {
     return publisher_body(t);
   });

@@ -37,7 +37,7 @@ struct SelfMonitorConfig {
 ///   net::QueuePair qp{fabric.nic(reader.id), meta.node_id(), cq};
 ///   co_await net::rdma_read_sync(self, qp, meta.mr_key(),
 ///                                meta.config().slot_bytes, c);
-///   auto snap = std::any_cast<telemetry::Snapshot>(c.data);
+///   auto snap = c.data.get<telemetry::Snapshot>();
 class TelemetrySelfMonitor {
  public:
   TelemetrySelfMonitor(net::Fabric& fabric, os::Node& owner,

@@ -1,10 +1,12 @@
 #include "monitor/monitor.hpp"
 
-#include <any>
 #include <cassert>
 #include <limits>
 
 namespace rdmamon::monitor {
+
+// A fetched snapshot rides inline in its completion or socket reply.
+static_assert(net::Payload::fits_inline<os::LoadSnapshot>);
 
 namespace {
 
@@ -67,13 +69,14 @@ BackendMonitor::BackendMonitor(net::Fabric& fabric, os::Node& backend,
       // paper's security argument.
       mr_key_ = nic.register_mr(cfg_.reply_bytes,
                                 [node = &backend_] {
-                                  return std::any(node->procfs().snapshot_dma());
+                                  return net::Payload(
+                                      node->procfs().snapshot_dma());
                                 },
                                 false, nullptr, cfg_.tenant);
     } else {
       // RDMA-Async: register the user-space slot the calc thread updates.
       mr_key_ = nic.register_mr(cfg_.reply_bytes,
-                                [slot = &slot_] { return std::any(*slot); },
+                                [slot = &slot_] { return net::Payload(*slot); },
                                 false, nullptr, cfg_.tenant);
     }
   }
@@ -139,7 +142,6 @@ void FrontendMonitor::resolve_metrics() {
   m_transport_ = &outcome("transport");
   m_retries_ = &reg_->counter("monitor.fetch.retries", by_chan);
   m_backoff_waits_ = &reg_->counter("monitor.backoff_waits", by_chan);
-  fr_ = reg_->recorder().ring("monitor." + frontend_->name());
 }
 
 void FrontendMonitor::record_sample(const MonitorSample& s) {
@@ -163,6 +165,11 @@ os::Program FrontendMonitor::fetch(os::SimThread& self, MonitorSample& out) {
   out.requested_at = simu.now();
   const MonitorConfig& cfg = backend_->config();
   if (!metrics_resolved_) resolve_metrics();
+  // The ring exists only where fetch() runs: scatter-only front ends
+  // complete through the round engine and record in `scatter.<node>`.
+  if (fr_ == nullptr && reg_ != nullptr) {
+    fr_ = reg_->recorder().ring("monitor." + frontend_->name());
+  }
   const std::int64_t node = backend_->node().id;
   sim::Duration backoff = cfg.retry_backoff;
   for (int attempt = 0;; ++attempt) {
@@ -215,7 +222,7 @@ os::Program FrontendMonitor::issue(os::SimThread& self, FetchOp& op,
     // an abandoned earlier request may still be queued: flush before
     // asking again (at worst we answer with a marginally older reading).
     sock_->drain_rx();
-    co_await sock_->send(self, cfg.request_bytes, std::any{});
+    co_await sock_->send(self, cfg.request_bytes, net::Payload{});
   }
 }
 
@@ -247,7 +254,7 @@ os::Program FrontendMonitor::complete(os::SimThread& self, FetchOp& op,
   }
   net::Message reply;
   co_await sock_->recv_ready(self, reply);
-  out.info = std::any_cast<os::LoadSnapshot>(reply.payload);
+  out.info = reply.payload.get<os::LoadSnapshot>();
   out.ok = true;
   out.error = FetchError::None;
   (void)status;
@@ -262,7 +269,7 @@ void FrontendMonitor::reap(FetchOp& op, MonitorSample& out) {
     out.ok = false;
     out.error = FetchError::Transport;
   } else {
-    out.info = std::any_cast<const os::LoadSnapshot&>(c.data);
+    out.info = c.data.get<os::LoadSnapshot>();
     out.ok = true;
     out.error = FetchError::None;
   }

@@ -244,6 +244,7 @@ class FrontendMonitor {
   telemetry::Counter* m_retries_ = nullptr;
   telemetry::Counter* m_backoff_waits_ = nullptr;
   /// `monitor.<frontend>` flight ring: fetch() attempt and fetch outcomes.
+  /// Created by the first fetch(), so scatter-only front ends carry none.
   telemetry::FlightRing* fr_ = nullptr;
 };
 

@@ -1,7 +1,5 @@
 #include "monitor/push.hpp"
 
-#include <any>
-
 #include "net/nic.hpp"
 
 namespace rdmamon::monitor {
@@ -27,7 +25,7 @@ os::Program MulticastSubscriber::rx_body(os::SimThread& self, net::Socket* sock)
   for (;;) {
     net::Message m;
     co_await sock->recv(self, m);
-    info_ = std::any_cast<os::LoadSnapshot>(m.payload);
+    info_ = m.payload.get<os::LoadSnapshot>();
     received_ = self.node().simu().now();
     has_ = true;
     ++updates_;

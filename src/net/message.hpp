@@ -1,9 +1,10 @@
 // Wire messages for the two-sided (socket) transport.
 #pragma once
 
-#include <any>
 #include <cstddef>
 #include <cstdint>
+
+#include "net/payload.hpp"
 
 namespace rdmamon::net {
 
@@ -16,7 +17,7 @@ struct Message {
   std::uint64_t conn = 0;  ///< connection id (assigned by the Fabric)
   int dst_side = 0;        ///< receiving endpoint within the connection
   std::size_t bytes = 0;
-  std::any payload;
+  Payload payload;
 };
 
 }  // namespace rdmamon::net

@@ -54,9 +54,14 @@ Nic::Nic(Fabric& fabric, os::Node& node) : fabric_(fabric), node_(node) {
       }
     }
   });
-  if (telemetry::Registry* reg = telemetry::Registry::of(fabric.simu())) {
-    fr_ = reg->recorder().ring("net." + node.name());
+  fr_reg_ = telemetry::Registry::of(fabric.simu());
+}
+
+telemetry::FlightRing* Nic::flight_ring() {
+  if (fr_ == nullptr && fr_reg_ != nullptr) {
+    fr_ = fr_reg_->recorder().ring("net." + node_.name());
   }
+  return fr_;
 }
 
 // --- two-sided ----------------------------------------------------------------
@@ -71,7 +76,8 @@ void Nic::tx(Message msg) {
   const sim::Duration ser = sim::nsec(static_cast<std::int64_t>(
       static_cast<double>(msg.bytes) / fabric_.config().bandwidth_bps * 1e9));
   tx_busy_ = start + ser;
-  simu.at(tx_busy_, [this, msg = std::move(msg)] { fabric_.ship(msg); });
+  const std::uint32_t slot = fabric_.park(std::move(msg));
+  simu.at(tx_busy_, [this, slot] { fabric_.ship(slot); });
 }
 
 int Nic::pick_rx_cpu() {
@@ -82,10 +88,10 @@ int Nic::pick_rx_cpu() {
   return rr_cpu_;
 }
 
-void Nic::rx(Message msg) {
+void Nic::rx(std::uint32_t slot) {
   ++rx_packets_;
   sim::Simulation& simu = fabric_.simu();
-  node_.stats().on_net_bytes(msg.bytes, simu.now());
+  node_.stats().on_net_bytes(fabric_.parked(slot).bytes, simu.now());
   const int cpu = pick_rx_cpu();
   os::IrqController& irq = node_.irq();
   const os::NodeConfig& ncfg = node_.config();
@@ -99,16 +105,17 @@ void Nic::rx(Message msg) {
   if (inline_ok) {
     irq.raise(
         cpu, os::IrqType::NetRx,
-        [this, msg] { fabric_.deliver_to_socket(msg); },
+        [this, slot] { fabric_.deliver_to_socket(slot); },
         /*extra_cost=*/ncfg.softirq_packet_cost);
   } else {
     ++rx_deferred_;
-    irq.raise(cpu, os::IrqType::NetRx, [this, cpu, msg,
-                                        cost = ncfg.softirq_packet_cost] {
-      node_.irq().raise_softirq(
-          cpu, os::SoftirqItem{
-                   cost, [this, msg] { fabric_.deliver_to_socket(msg); }});
-    });
+    irq.raise(cpu, os::IrqType::NetRx,
+              [this, cpu, slot, cost = ncfg.softirq_packet_cost] {
+                node_.irq().raise_softirq(
+                    cpu, os::SoftirqItem{cost, [this, slot] {
+                                           fabric_.deliver_to_socket(slot);
+                                         }});
+              });
   }
 }
 
@@ -130,9 +137,9 @@ void count_doorbell(Nic& nic, std::size_t wrs) {
   m.wrs->observe(static_cast<double>(wrs));
 }
 
-MrKey Nic::register_mr(std::size_t bytes, std::function<std::any()> reader,
+MrKey Nic::register_mr(std::size_t bytes, std::function<Payload()> reader,
                        bool remote_writable,
-                       std::function<void(const std::any&)> writer,
+                       std::function<void(const Payload&)> writer,
                        TenantId tenant) {
   MemoryRegion mr;
   mr.rkey = next_rkey_++;
@@ -180,17 +187,17 @@ sim::Duration Nic::charge_mr(std::uint32_t rkey) {
 
 void Nic::rdma_read(int target_node, MrKey rkey, std::size_t len,
                     std::uint64_t wr_id, WrRoute route) {
-  post(/*is_write=*/false, target_node, rkey, std::any{}, len, wr_id,
+  post(/*is_write=*/false, target_node, rkey, Payload{}, len, wr_id,
        std::move(route));
 }
 
-void Nic::rdma_write(int target_node, MrKey rkey, std::any value,
+void Nic::rdma_write(int target_node, MrKey rkey, Payload value,
                      std::size_t len, std::uint64_t wr_id, WrRoute route) {
   post(/*is_write=*/true, target_node, rkey, std::move(value), len, wr_id,
        std::move(route));
 }
 
-void Nic::post(bool is_write, int target_node, MrKey rkey, std::any value,
+void Nic::post(bool is_write, int target_node, MrKey rkey, Payload value,
                std::size_t len, std::uint64_t wr_id, WrRoute route) {
   std::uint32_t slot = free_wr_;
   if (slot == kNoSlot) {
@@ -209,8 +216,8 @@ void Nic::post(bool is_write, int target_node, MrKey rkey, std::any value,
   r.target = target_node;
   r.is_write = is_write;
   ++rdma_posted_;
-  if (fr_ != nullptr) {
-    fr_->record(is_write ? "write.post" : "read.post", target_node,
+  if (telemetry::FlightRing* fr = flight_ring()) {
+    fr->record(is_write ? "write.post" : "read.post", target_node,
                 static_cast<std::int64_t>(wr_id), static_cast<double>(len));
   }
   const FabricConfig& cfg = fabric_.config();
@@ -296,7 +303,7 @@ void Nic::dma(std::uint32_t slot) {
   } else if (!wrs_[slot].is_write) {
     // THE key semantic: the content is sampled at the DMA instant.
     if (it->second.reader) {
-      std::any data = it->second.reader();
+      Payload data = it->second.reader();
       wrs_[slot].c.data = std::move(data);
     }
   } else if (!it->second.remote_writable) {
@@ -304,7 +311,7 @@ void Nic::dma(std::uint32_t slot) {
     // memory. The write is discarded.
     wrs_[slot].c.status = WcStatus::ProtectionError;
   } else if (it->second.writer) {
-    const std::any value = std::move(wrs_[slot].value);
+    const Payload value = std::move(wrs_[slot].value);
     it->second.writer(value);
   }
   // Response (READ payload, WRITE ack) back to the initiator: may die on
@@ -332,10 +339,10 @@ void Nic::fail_after_retries(std::uint32_t slot) {
 void Nic::complete(std::uint32_t slot) {
   WrRecord& r = wrs_[slot];
   r.c.completed = fabric_.simu().now();
-  if (fr_ != nullptr) {
+  if (telemetry::FlightRing* fr = flight_ring()) {
     // Every completion path (success, retry-exceeded, invalid key) lands
     // exactly one event with the completion's own timestamp.
-    fr_->record_at(r.c.completed, r.is_write ? "write.comp" : "read.comp",
+    fr->record_at(r.c.completed, r.is_write ? "write.comp" : "read.comp",
                    static_cast<std::int64_t>(r.c.status),
                    static_cast<std::int64_t>(r.c.wr_id),
                    static_cast<double>((r.c.completed - r.c.posted).ns));

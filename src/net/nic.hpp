@@ -38,18 +38,13 @@ class Nic {
   /// the send syscall cost.
   void tx(Message msg);
 
-  /// Receive path entry (called by the Fabric on arrival): raises a NetRx
-  /// interrupt; protocol processing happens inline in handler context when
-  /// the backlog is small, otherwise via ksoftirqd.
-  void rx(Message msg);
-
   // --- one-sided -----------------------------------------------------------
   /// Registers a memory region; `reader` is sampled at DMA time.
   /// Read-only unless `remote_writable`. `tenant` is the owner a cached
   /// MR entry's eviction is attributed to (0 = system plane).
-  MrKey register_mr(std::size_t bytes, std::function<std::any()> reader,
+  MrKey register_mr(std::size_t bytes, std::function<Payload()> reader,
                     bool remote_writable = false,
-                    std::function<void(const std::any&)> writer = nullptr,
+                    std::function<void(const Payload&)> writer = nullptr,
                     TenantId tenant = 0);
 
   /// Invalidates an rkey. In-flight ops that reach the DMA engine after the
@@ -79,7 +74,7 @@ class Nic {
 
   /// Initiator-side one-sided WRITE. Rejected with ProtectionError when the
   /// target region is not remote_writable.
-  void rdma_write(int target_node, MrKey rkey, std::any value,
+  void rdma_write(int target_node, MrKey rkey, Payload value,
                   std::size_t len, std::uint64_t wr_id, WrRoute route);
 
   /// Allocates a NIC-unique QpContext identity (context-cache key space).
@@ -142,7 +137,7 @@ class Nic {
   struct WrRecord {
     WrRoute route;
     Completion c;
-    std::any value;  ///< WRITE payload
+    Payload value;  ///< WRITE payload
     MrKey rkey;
     std::size_t len = 0;
     int target = -1;
@@ -152,7 +147,7 @@ class Nic {
 
   /// Takes a free record for the WR, accounts and flight-records the
   /// post, and hands it to the QoS arbiter or straight to start().
-  void post(bool is_write, int target_node, MrKey rkey, std::any value,
+  void post(bool is_write, int target_node, MrKey rkey, Payload value,
             std::size_t len, std::uint64_t wr_id, WrRoute route);
   /// The wire legs of a posted WR, in order. start() is entered directly
   /// (QoS off) or as the arbiter's grant (QoS on): fault checks,
@@ -180,6 +175,12 @@ class Nic {
 
   /// CPU chosen for the next NetRx interrupt (config fixed or round-robin).
   int pick_rx_cpu();
+
+  /// Receive path entry for the message in fabric slot `slot` (called by
+  /// the Fabric on arrival): raises a NetRx interrupt; protocol processing
+  /// happens inline in handler context when the backlog is small,
+  /// otherwise via ksoftirqd.
+  void rx(std::uint32_t slot);
 
   Fabric& fabric_;
   os::Node& node_;
@@ -209,7 +210,11 @@ class Nic {
   /// hot packet paths need no extra bookkeeping.
   telemetry::ScopedCollector collector_;
   /// Flight-recorder ring for this NIC's verbs posts/completions
-  /// ("net.<node>"); null when no registry is installed.
+  /// ("net.<node>"), created on the first record: only initiating NICs
+  /// record, so target and client NICs never carry an empty ring. Null
+  /// when no registry was installed at construction.
+  telemetry::FlightRing* flight_ring();
+  telemetry::Registry* fr_reg_ = nullptr;
   telemetry::FlightRing* fr_ = nullptr;
 };
 

@@ -30,7 +30,7 @@ void Socket::resolve_metrics() {
 }
 
 os::Program Socket::send(os::SimThread& self, std::size_t bytes,
-                         std::any payload) {
+                         Payload payload) {
   if (!metrics_resolved_) resolve_metrics();
   telemetry::add(tx_msgs_);
   telemetry::add(tx_bytes_, bytes);

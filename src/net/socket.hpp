@@ -4,14 +4,13 @@
 // plus whatever run-queue delay the receiving thread suffers.
 #pragma once
 
-#include <any>
-#include <deque>
 #include <vector>
 
 #include "net/message.hpp"
 #include "os/node.hpp"
 #include "os/program.hpp"
 #include "os/wait.hpp"
+#include "sim/ring_queue.hpp"
 #include "telemetry/registry.hpp"
 
 namespace rdmamon::net {
@@ -24,7 +23,7 @@ class Socket {
  public:
   /// Subprogram: pays the send syscall + copy cost, then transmits `bytes`
   /// carrying `payload` to the peer endpoint.
-  os::Program send(os::SimThread& self, std::size_t bytes, std::any payload);
+  os::Program send(os::SimThread& self, std::size_t bytes, Payload payload);
 
   /// Subprogram: blocks until a message is available, pays the recv
   /// syscall + copy cost, and stores the message in `out`.
@@ -92,7 +91,7 @@ class Socket {
   int remote_node_ = -1;
   std::uint64_t conn_ = 0;
   int remote_side_ = 0;  ///< which endpoint of the connection the peer is
-  std::deque<Message> rx_;
+  sim::RingQueue<Message> rx_;
   os::WaitQueue rx_wq_;
   std::vector<os::WaitQueue*> rx_watchers_;
   bool metrics_resolved_ = false;

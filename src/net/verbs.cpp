@@ -202,7 +202,7 @@ void QpContext::post_read(int target_node, MrKey rkey, std::size_t len,
   submit(std::move(p));
 }
 
-void QpContext::post_write(int target_node, MrKey rkey, std::any value,
+void QpContext::post_write(int target_node, MrKey rkey, Payload value,
                            std::size_t len, std::uint64_t wr_id,
                            CompletionQueue& cq) {
   Pending p;
@@ -271,7 +271,7 @@ void QueuePair::post_read(MrKey rkey, std::size_t len, std::uint64_t wr_id,
   ctx_->post_read(remote_node_, rkey, len, wr_id, *cq_, force_signal);
 }
 
-void QueuePair::post_write(MrKey rkey, std::any value, std::size_t len,
+void QueuePair::post_write(MrKey rkey, Payload value, std::size_t len,
                            std::uint64_t wr_id) {
   ctx_->post_write(remote_node_, rkey, std::move(value), len, wr_id, *cq_);
 }
@@ -357,7 +357,7 @@ os::Program rdma_read_sync_until(os::SimThread& self, QueuePair& qp,
 }
 
 os::Program rdma_write_sync(os::SimThread& /*self*/, QueuePair& qp,
-                            MrKey rkey, std::any value, std::size_t len,
+                            MrKey rkey, Payload value, std::size_t len,
                             Completion& out) {
   co_await os::Compute{kDoorbellCost};
   count_doorbell(qp.context().nic(), 1);

@@ -28,7 +28,6 @@
 //    thrashing it (see net/qpcache.hpp).
 #pragma once
 
-#include <any>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -37,6 +36,7 @@
 #include <unordered_set>
 #include <vector>
 
+#include "net/payload.hpp"
 #include "net/qos.hpp"
 #include "os/program.hpp"
 #include "os/wait.hpp"
@@ -96,8 +96,8 @@ struct MemoryRegion {
   /// Registering tenant: the owner a cached MR entry's eviction is
   /// attributed to (0 = system plane).
   TenantId tenant = 0;
-  std::function<std::any()> reader;
-  std::function<void(const std::any&)> writer;
+  std::function<Payload()> reader;
+  std::function<void(const Payload&)> writer;
 };
 
 enum class WcStatus {
@@ -111,7 +111,7 @@ enum class WcStatus {
 struct Completion {
   std::uint64_t wr_id = 0;
   WcStatus status = WcStatus::Success;
-  std::any data;              ///< READ: the fetched snapshot
+  Payload data{};             ///< READ: the fetched snapshot
   sim::TimePoint posted{};    ///< when the WR was posted
   sim::TimePoint completed{}; ///< when the completion arrived
 };
@@ -293,7 +293,7 @@ class QpContext : public std::enable_shared_from_this<QpContext> {
 
   /// Posts a WRITE. Writes are always signaled (the publishers that use
   /// them are completion-driven) but share the inflight window.
-  void post_write(int target_node, MrKey rkey, std::any value,
+  void post_write(int target_node, MrKey rkey, Payload value,
                   std::size_t len, std::uint64_t wr_id, CompletionQueue& cq);
 
   /// NIC context-cache identity (nonzero; allocated by the local NIC).
@@ -325,7 +325,7 @@ class QpContext : public std::enable_shared_from_this<QpContext> {
     std::uint64_t wr_id = 0;
     CompletionQueue* cq = nullptr;
     bool force_signal = true;
-    std::any value;  ///< writes only
+    Payload value;  ///< writes only
   };
 
   friend class Nic;
@@ -373,7 +373,7 @@ class QueuePair {
                  bool force_signal = true);
 
   /// Posts a one-sided WRITE of `value` to the remote region `rkey`.
-  void post_write(MrKey rkey, std::any value, std::size_t len,
+  void post_write(MrKey rkey, Payload value, std::size_t len,
                   std::uint64_t wr_id);
 
   /// Re-points this QP's completions at another CQ (e.g. an engine's
@@ -432,7 +432,7 @@ os::Program rdma_read_sync(os::SimThread& self, QueuePair& qp, MrKey rkey,
 /// Subprogram: same for WRITE (used by tests and the reconfiguration
 /// example; completes with ProtectionError on read-only regions).
 os::Program rdma_write_sync(os::SimThread& self, QueuePair& qp, MrKey rkey,
-                            std::any value, std::size_t len, Completion& out);
+                            Payload value, std::size_t len, Completion& out);
 
 /// Deadline-aware variant of rdma_read_sync: posts the READ with `wr_id`
 /// and waits for ITS completion until `deadline`. On timeout `ok` stays

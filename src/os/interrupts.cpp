@@ -13,7 +13,7 @@ IrqController::IrqController(Scheduler& sched, const NodeConfig& cfg)
   per_cpu_.resize(static_cast<std::size_t>(cfg_.cpus));
 }
 
-void IrqController::raise(CpuId cpu, IrqType type, std::function<void()> body,
+void IrqController::raise(CpuId cpu, IrqType type, sim::InlineFn body,
                           sim::Duration extra_cost) {
   auto& pc = per_cpu_[static_cast<std::size_t>(cpu)];
   const auto ti = static_cast<std::size_t>(type);
@@ -25,14 +25,10 @@ void IrqController::raise(CpuId cpu, IrqType type, std::function<void()> body,
   while (!pc.recent_raises.empty() && pc.recent_raises.front() < horizon) {
     pc.recent_raises.pop_front();
   }
-  sched_.request_irq(
-      cpu, cfg_.irq_handler_cost + extra_cost,
-      [this, cpu, type, body = std::move(body)] {
-        auto& p = per_cpu_[static_cast<std::size_t>(cpu)];
-        --p.pending[static_cast<std::size_t>(type)];
-        assert(p.pending[static_cast<std::size_t>(type)] >= 0);
-        if (body) body();
-      });
+  // The scheduler decrements the pending count when the handler
+  // completes, before `body` runs.
+  sched_.request_irq(cpu, cfg_.irq_handler_cost + extra_cost, std::move(body),
+                     &pc.pending[ti]);
 }
 
 void IrqController::raise_softirq(CpuId cpu, SoftirqItem item) {
@@ -74,9 +70,8 @@ int IrqController::raised_within(CpuId cpu, sim::Duration window) const {
   const auto& pc = per_cpu_[static_cast<std::size_t>(cpu)];
   const sim::TimePoint since = sched_.simu().now() - window;
   int n = 0;
-  for (auto it = pc.recent_raises.rbegin(); it != pc.recent_raises.rend();
-       ++it) {
-    if (*it < since) break;
+  for (std::size_t i = pc.recent_raises.size(); i-- > 0;) {
+    if (pc.recent_raises[i] < since) break;
     ++n;
   }
   return n;

@@ -5,12 +5,12 @@
 
 #include <array>
 #include <cstdint>
-#include <deque>
-#include <functional>
 #include <vector>
 
 #include "os/types.hpp"
 #include "os/wait.hpp"
+#include "sim/inline_fn.hpp"
+#include "sim/ring_queue.hpp"
 #include "sim/time.hpp"
 
 namespace rdmamon::os {
@@ -20,7 +20,7 @@ class Scheduler;
 /// Deferrable work item queued for ksoftirqd.
 struct SoftirqItem {
   sim::Duration cost;
-  std::function<void()> fn;
+  sim::InlineFn fn;
 };
 
 class IrqController {
@@ -32,7 +32,7 @@ class IrqController {
   /// handler context. The pending count for (cpu, type) is visible from
   /// raise until the handler completes — exactly what a remote RDMA read
   /// of irq_stat can observe mid-flight.
-  void raise(CpuId cpu, IrqType type, std::function<void()> body,
+  void raise(CpuId cpu, IrqType type, sim::InlineFn body,
              sim::Duration extra_cost = {});
 
   /// Queues deferred work for `cpu`'s ksoftirqd (normal-priority kernel
@@ -77,8 +77,8 @@ class IrqController {
   struct PerCpu {
     std::array<int, kIrqTypes> pending{};
     std::array<std::uint64_t, kIrqTypes> raised{};
-    mutable std::deque<sim::TimePoint> recent_raises;  // trimmed lazily
-    std::deque<SoftirqItem> soft_q;
+    mutable sim::RingQueue<sim::TimePoint> recent_raises;  // trimmed lazily
+    sim::RingQueue<SoftirqItem> soft_q;
     WaitQueue soft_wq;
   };
 

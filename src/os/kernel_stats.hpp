@@ -13,6 +13,13 @@
 
 namespace rdmamon::os {
 
+/// exp(-dt / window): the EMA decay over an interval of `dt`. Memoized in
+/// a small per-thread direct-mapped table keyed by (dt, window) — the
+/// scheduler and NIC fold the same few interval lengths millions of times
+/// per run. std::exp is a pure function, so a cached value is bitwise the
+/// recomputed one.
+double decay_factor(sim::Duration dt, sim::Duration window);
+
 /// What a CPU is doing at an instant (for time accounting).
 enum class CpuState { Idle = 0, User = 1, Kernel = 2, Irq = 3 };
 
@@ -37,8 +44,6 @@ class CpuAccounting {
   sim::Duration busy() const { return user_ + system_ + irq_; }
 
  private:
-  double decay(sim::Duration dt) const;
-
   sim::Duration window_;
   CpuState state_ = CpuState::Idle;
   sim::TimePoint last_{};

@@ -17,12 +17,31 @@
 #pragma once
 
 #include <coroutine>
+#include <cstddef>
 #include <cstdlib>
 #include <utility>
 
 #include "os/action.hpp"
 
+// Coroutine frames are pooled (ProgramPromise::operator new) except under
+// AddressSanitizer, where they go straight to the heap so a use of a
+// destroyed frame is still reported.
+#if defined(__SANITIZE_ADDRESS__)
+#define RDMAMON_POOL_FRAMES 0
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define RDMAMON_POOL_FRAMES 0
+#endif
+#endif
+#ifndef RDMAMON_POOL_FRAMES
+#define RDMAMON_POOL_FRAMES 1
+#endif
+
 namespace rdmamon::os {
+
+/// Whether this build recycles coroutine frames (allocation gates budget
+/// one heap frame per subprogram call when it does not).
+inline constexpr bool kFramesPooled = RDMAMON_POOL_FRAMES != 0;
 
 class SimThread;
 class Program;
@@ -35,6 +54,13 @@ struct ProgramPromise {
   /// Set when the coroutine suspends on an Action.
   Action pending{YieldCpu{}};
   bool has_pending = false;
+
+  /// Coroutine frames come from a per-thread, size-classed free list
+  /// (thread.cpp): every socket send/recv and nested subprogram creates a
+  /// frame, and recycling them keeps the served-request path off the
+  /// heap. See kFramesPooled for the AddressSanitizer exception.
+  static void* operator new(std::size_t bytes);
+  static void operator delete(void* p, std::size_t bytes) noexcept;
 
   Program get_return_object();
   std::suspend_always initial_suspend() noexcept { return {}; }

@@ -1,6 +1,5 @@
 #include "os/scheduler.hpp"
 
-#include <algorithm>
 #include <cassert>
 
 #include "os/wait.hpp"
@@ -112,10 +111,10 @@ void Scheduler::enqueue_tail(SimThread* t) {
 
 SimThread* Scheduler::pick_ready(CpuId cpu) {
   for (auto& level : ready_) {
-    for (auto it = level.begin(); it != level.end(); ++it) {
-      SimThread* t = *it;
+    for (std::size_t i = 0; i < level.size(); ++i) {
+      SimThread* t = level[i];
       if (t->affinity == -1 || t->affinity == cpu) {
-        level.erase(it);
+        level.erase(i);
         return t;
       }
     }
@@ -135,9 +134,10 @@ bool Scheduler::someone_waiting_for(const Cpu& c) const {
 
 void Scheduler::remove_from_ready(SimThread* t) {
   auto& level = ready_[static_cast<std::size_t>(t->priority())];
-  auto it = std::find(level.begin(), level.end(), t);
-  assert(it != level.end());
-  level.erase(it);
+  std::size_t i = 0;
+  while (i < level.size() && level[i] != t) ++i;
+  assert(i < level.size());
+  level.erase(i);
 }
 
 // --- dispatching -------------------------------------------------------------
@@ -429,9 +429,10 @@ void Scheduler::deschedule(Cpu& c, ThreadState new_state, bool voluntary) {
 
 // --- interrupts ---------------------------------------------------------------
 
-void Scheduler::request_irq(CpuId cpu, sim::Duration cost, IrqBody body) {
+void Scheduler::request_irq(CpuId cpu, sim::Duration cost, IrqBody body,
+                            int* pending) {
   Cpu& c = cpus_[static_cast<std::size_t>(cpu)];
-  c.irq_q.push_back(IrqJob{cost, std::move(body)});
+  c.irq_q.push_back(IrqJob{cost, std::move(body), pending});
   if (!c.in_irq) begin_irq(c);
 }
 
@@ -449,6 +450,10 @@ void Scheduler::run_next_irq(Cpu& c) {
   c.irq_ev = simu_.after(cost, [this, &c] {
     IrqJob job = std::move(c.irq_q.front());
     c.irq_q.pop_front();
+    if (job.pending != nullptr) {
+      --*job.pending;
+      assert(*job.pending >= 0);
+    }
     if (job.body) job.body();
     if (!c.irq_q.empty()) {
       run_next_irq(c);

@@ -21,7 +21,6 @@
 // while one-sided RDMA reads never enter this machinery at all.
 #pragma once
 
-#include <deque>
 #include <functional>
 #include <memory>
 #include <string>
@@ -31,6 +30,8 @@
 #include "os/program.hpp"
 #include "os/thread.hpp"
 #include "os/types.hpp"
+#include "sim/inline_fn.hpp"
+#include "sim/ring_queue.hpp"
 #include "sim/simulation.hpp"
 
 namespace rdmamon::os {
@@ -48,7 +49,7 @@ struct SpawnOptions {
 class Scheduler {
  public:
   using ProgramFactory = std::function<Program(SimThread&)>;
-  using IrqBody = std::function<void()>;
+  using IrqBody = sim::InlineFn;
 
   Scheduler(sim::Simulation& simu, Node& node, KernelStats& stats,
             const NodeConfig& cfg);
@@ -66,8 +67,11 @@ class Scheduler {
   void kill(SimThread* t);
 
   /// Steals `cost` of CPU time on `cpu` for a hardware interrupt, then
-  /// runs `body` in handler context. Nested requests queue FIFO.
-  void request_irq(CpuId cpu, sim::Duration cost, IrqBody body);
+  /// runs `body` in handler context. Nested requests queue FIFO. When
+  /// `pending` is set, the handler's completion decrements it before
+  /// `body` runs (the IrqController's per-type pending count).
+  void request_irq(CpuId cpu, sim::Duration cost, IrqBody body,
+                   int* pending = nullptr);
 
   // --- introspection -------------------------------------------------------
   int num_cpus() const { return static_cast<int>(cpus_.size()); }
@@ -83,6 +87,7 @@ class Scheduler {
   struct IrqJob {
     sim::Duration cost;
     IrqBody body;
+    int* pending = nullptr;
   };
 
   // Per-CPU timer handles below (seg_ev/quantum_ev/irq_ev) are re-armed
@@ -107,7 +112,7 @@ class Scheduler {
 
     // Hardware interrupt servicing.
     bool in_irq = false;
-    std::deque<IrqJob> irq_q;
+    sim::RingQueue<IrqJob> irq_q;
     sim::EventHandle irq_ev;
   };
 
@@ -144,7 +149,7 @@ class Scheduler {
   NodeConfig cfg_;
 
   std::vector<Cpu> cpus_;
-  std::vector<std::deque<SimThread*>> ready_;  // one deque per priority level
+  std::vector<sim::RingQueue<SimThread*>> ready_;  // one per priority level
   std::vector<std::unique_ptr<SimThread>> threads_;
   ThreadId next_tid_ = 1;
   std::uint64_t ctx_switches_ = 0;

@@ -1,10 +1,52 @@
 #include "os/thread.hpp"
 
 #include <cassert>
+#include <new>
 
 #include "os/wait.hpp"
 
 namespace rdmamon::os {
+
+namespace {
+
+#if RDMAMON_POOL_FRAMES
+/// Free coroutine frames, one list per 16-byte size class up to 2 KiB.
+/// A freed frame's first word links the list. Frames are never returned
+/// to the heap: the pool holds the peak number of frames alive at once.
+constexpr std::size_t kFrameGranule = 16;
+constexpr std::size_t kFrameClasses = 128;
+struct FreeFrame {
+  FreeFrame* next;
+};
+thread_local FreeFrame* free_frames[kFrameClasses];
+#endif
+
+}  // namespace
+
+void* ProgramPromise::operator new(std::size_t bytes) {
+#if RDMAMON_POOL_FRAMES
+  const std::size_t cls = (bytes + kFrameGranule - 1) / kFrameGranule;
+  if (cls < kFrameClasses) {
+    if (FreeFrame* f = free_frames[cls]) {
+      free_frames[cls] = f->next;
+      return f;
+    }
+    return ::operator new(cls * kFrameGranule);
+  }
+#endif
+  return ::operator new(bytes);
+}
+
+void ProgramPromise::operator delete(void* p, std::size_t bytes) noexcept {
+#if RDMAMON_POOL_FRAMES
+  const std::size_t cls = (bytes + kFrameGranule - 1) / kFrameGranule;
+  if (cls < kFrameClasses) {
+    free_frames[cls] = ::new (p) FreeFrame{free_frames[cls]};
+    return;
+  }
+#endif
+  ::operator delete(p, bytes);
+}
 
 SimThread::SimThread(ThreadId tid, std::string name, Priority prio,
                      Node& node, Scheduler& sched)
@@ -53,9 +95,9 @@ void ProgramPromise::ProgramAwaiter::await_suspend(
 }
 
 void WaitQueue::remove(SimThread* t) {
-  for (auto it = waiters_.begin(); it != waiters_.end(); ++it) {
-    if (*it == t) {
-      waiters_.erase(it);
+  for (std::size_t i = 0; i < waiters_.size(); ++i) {
+    if (waiters_[i] == t) {
+      waiters_.erase(i);
       return;
     }
   }

@@ -1,6 +1,5 @@
 #include "reconfig/reconfig.hpp"
 
-#include <any>
 #include <cassert>
 #include <limits>
 
@@ -11,9 +10,9 @@ namespace rdmamon::reconfig {
 RoleRegion::RoleRegion(net::Fabric& fabric, os::Node& node, Role initial)
     : node_(&node), role_(initial) {
   key_ = fabric.nic(node.id).register_mr(
-      sizeof(int), [this] { return std::any(static_cast<int>(role_)); },
-      /*remote_writable=*/true, [this](const std::any& v) {
-        const Role next = static_cast<Role>(std::any_cast<int>(v));
+      sizeof(int), [this] { return net::Payload(static_cast<int>(role_)); },
+      /*remote_writable=*/true, [this](const net::Payload& v) {
+        const Role next = static_cast<Role>(v.get<int>());
         if (next != role_) {
           role_ = next;
           if (on_change_) on_change_(role_);
@@ -120,7 +119,7 @@ os::Program ReconfigManager::manager_body(os::SimThread& self) {
           net::Completion c;
           co_await net::rdma_write_sync(
               self, qp, regions_[static_cast<std::size_t>(pick)]->mr_key(),
-              std::any(static_cast<int>(hot)), sizeof(int), c);
+              net::Payload(static_cast<int>(hot)), sizeof(int), c);
           if (c.status == net::WcStatus::Success) {
             ++reconfigs_;
             last_reconfig_ = simu.now();

@@ -22,6 +22,7 @@ class InlineFn {
   static constexpr std::size_t kInlineBytes = 48;
 
   InlineFn() noexcept = default;
+  InlineFn(std::nullptr_t) noexcept {}  // NOLINT: empty, like std::function
 
   template <typename F,
             typename = std::enable_if_t<

@@ -4,20 +4,16 @@ namespace rdmamon::sim {
 
 void Simulation::run() {
   stop_requested_ = false;
-  while (!queue_.empty() && !stop_requested_) {
-    // Advance the clock BEFORE running the callback so that event bodies
-    // observe now() == their own timestamp.
-    now_ = queue_.next_time();
-    queue_.pop_and_run();
+  // The queue advances the clock BEFORE running each callback, so event
+  // bodies observe now() == their own timestamp.
+  while (!stop_requested_ &&
+         queue_.run_next_until(EventQueue::kNoDeadline, &now_)) {
   }
 }
 
 void Simulation::run_until(TimePoint deadline) {
   stop_requested_ = false;
-  while (!queue_.empty() && !stop_requested_ &&
-         queue_.next_time() <= deadline) {
-    now_ = queue_.next_time();
-    queue_.pop_and_run();
+  while (!stop_requested_ && queue_.run_next_until(deadline, &now_)) {
   }
   if (!stop_requested_ && now_ < deadline) now_ = deadline;
 }

@@ -1,7 +1,5 @@
 #include "web/client.hpp"
 
-#include <any>
-
 namespace rdmamon::web {
 
 std::uint64_t ClientGroup::next_request_id_ = 1;
@@ -38,7 +36,7 @@ os::Program ClientGroup::client_body(os::SimThread& self, net::Socket* sock,
     co_await sock->send(self, req.request_bytes, req);
     net::Message m;
     co_await sock->recv(self, m);
-    const Reply reply = std::any_cast<Reply>(m.payload);
+    const Reply reply = m.payload.get<Reply>();
     if (reply.rejected) {
       stats_.record_rejected();
     } else {

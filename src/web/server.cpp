@@ -1,8 +1,10 @@
 #include "web/server.hpp"
 
-#include <any>
-
 namespace rdmamon::web {
+
+// Requests and replies ride inline in socket messages: no allocation.
+static_assert(net::Payload::fits_inline<Request>);
+static_assert(net::Payload::fits_inline<Reply>);
 
 WebServer::WebServer(net::Fabric& fabric, os::Node& node, ServerConfig cfg)
     : fabric_(&fabric), node_(&node), cfg_(cfg) {}
@@ -25,7 +27,7 @@ os::Program WebServer::rx_body(os::SimThread& self, net::Socket* sock) {
     net::Message m;
     co_await sock->recv(self, m);
     queue_.push_back(
-        PendingWork{std::any_cast<Request>(m.payload), sock});
+        PendingWork{m.payload.get<Request>(), sock});
     work_wq_.notify_one();
   }
 }

@@ -1,6 +1,5 @@
 #include "workload/tenantstorm.hpp"
 
-#include <any>
 #include <string>
 #include <utility>
 
@@ -111,7 +110,7 @@ void TenantStorm::post_one(int idx, std::size_t& rr) {
       tnic.deregister_mr(pool.front());
       pool.erase(pool.begin());
     }
-    mr = tnic.register_mr(cfg_.op_bytes, [] { return std::any{}; }, false,
+    mr = tnic.register_mr(cfg_.op_bytes, [] { return net::Payload{}; }, false,
                           nullptr, cfg_.tenant);
     pool.push_back(mr);
   }

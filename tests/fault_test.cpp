@@ -7,7 +7,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <any>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -223,7 +222,7 @@ TEST(VerbsFault, CrashBeforeUnsignaledWrsErrorCompletesEveryOne) {
   // closer that cannot come.
   Env env;
   net::MrKey key =
-      env.fabric.nic(1).register_mr(64, [] { return std::any(1); });
+      env.fabric.nic(1).register_mr(64, [] { return net::Payload(1); });
   net::CompletionQueue cq;
   auto ctx = std::make_shared<net::QpContext>(env.fabric.nic(0),
                                               /*signal_every=*/8);
@@ -250,7 +249,7 @@ TEST(VerbsFault, CrashBetweenUnsignaledWrAndCloserStillReleasesIt) {
   // as the success it was, B carries the transport error.
   Env env;
   net::MrKey key =
-      env.fabric.nic(1).register_mr(64, [] { return std::any(7); });
+      env.fabric.nic(1).register_mr(64, [] { return net::Payload(7); });
   net::CompletionQueue cq;
   auto ctx = std::make_shared<net::QpContext>(env.fabric.nic(0),
                                               /*signal_every=*/16);
@@ -266,7 +265,7 @@ TEST(VerbsFault, CrashBetweenUnsignaledWrAndCloserStillReleasesIt) {
   net::Completion c;
   ASSERT_TRUE(cq.try_pop(a, c));
   EXPECT_EQ(c.status, net::WcStatus::Success);
-  EXPECT_EQ(std::any_cast<int>(c.data), 7);
+  EXPECT_EQ(c.data.get<int>(), 7);
   ASSERT_TRUE(cq.try_pop(b, c));
   EXPECT_EQ(c.status, net::WcStatus::RetryExceeded);
   EXPECT_EQ(cq.shadowed(), 0u);
@@ -278,7 +277,7 @@ TEST(VerbsFault, ForgottenUnsignaledWrsNeverSurfaceAfterCrash) {
   // its error completion lands). Exactly one reclaim each, no ghosts.
   Env env;
   net::MrKey key =
-      env.fabric.nic(1).register_mr(64, [] { return std::any(1); });
+      env.fabric.nic(1).register_mr(64, [] { return net::Payload(1); });
   net::CompletionQueue cq;
   auto ctx = std::make_shared<net::QpContext>(env.fabric.nic(0),
                                               /*signal_every=*/16);
@@ -700,8 +699,8 @@ struct TenantLbEnv {
       targets.push_back(
           {backends.back()->id,
            fabric.nic(backends.back()->id)
-               .register_mr(scfg.op_bytes, [] { return std::any{}; }, false,
-                            nullptr, kHogTenant)});
+               .register_mr(scfg.op_bytes, [] { return net::Payload{}; },
+                            false, nullptr, kHogTenant)});
     }
     aggressor = std::make_unique<os::Node>(simu, os::NodeConfig{.name = "agg"});
     fabric.attach(*aggressor);

@@ -9,7 +9,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <any>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -332,9 +331,10 @@ struct StormRig {
     scfg.max_outstanding = max_outstanding;
     scfg.post_period = sim::usec(1);
     for (const auto& b : env.backends) {
-      targets.push_back({b->id, env.fabric.nic(b->id).register_mr(
-                                    scfg.op_bytes, [] { return std::any{}; },
-                                    false, nullptr, kHogTenant)});
+      targets.push_back(
+          {b->id, env.fabric.nic(b->id).register_mr(
+                      scfg.op_bytes, [] { return net::Payload{}; }, false,
+                      nullptr, kHogTenant)});
     }
     storm = std::make_unique<workload::TenantStorm>(env.fabric, aggressor,
                                                     targets, scfg);

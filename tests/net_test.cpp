@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <any>
 #include <memory>
 #include <string>
 #include <vector>
@@ -69,14 +68,14 @@ TEST(Socket, RoundTripDeliversPayload) {
     Message req;
     co_await conn.end_b().recv(self, req);
     co_await conn.end_b().send(self, 64,
-                               std::any_cast<std::string>(req.payload));
+                               req.payload.get<std::string>());
   });
   env.a.spawn("client", [&](SimThread& self) -> Program {
     const sim::TimePoint t0 = env.simu.now();
     co_await conn.end_a().send(self, 64, std::string("hello"));
     Message rep;
     co_await conn.end_a().recv(self, rep);
-    got = std::any_cast<std::string>(rep.payload);
+    got = rep.payload.get<std::string>();
     rtt = (env.simu.now() - t0).ns;
   });
   env.simu.run_for(seconds(1));
@@ -87,6 +86,78 @@ TEST(Socket, RoundTripDeliversPayload) {
   EXPECT_LT(rtt, usec(200).ns);
 }
 
+TEST(Payload, InlineAndBoxedValuesWithCheckedAccess) {
+  Payload small(42);
+  EXPECT_TRUE(small.holds<int>());
+  EXPECT_EQ(small.get<int>(), 42);
+  EXPECT_THROW((void)small.get<double>(), BadPayloadCast);
+  Payload moved(std::move(small));
+  EXPECT_FALSE(small.has_value());  // NOLINT(bugprone-use-after-move)
+  EXPECT_EQ(moved.get<int>(), 42);
+  EXPECT_THROW((void)Payload{}.get<int>(), BadPayloadCast);
+
+  // Not trivially copyable: boxed, and a copy owns its own value.
+  Payload boxed(std::string("snapshot"));
+  Payload copy = boxed;
+  boxed = Payload(7);
+  EXPECT_EQ(copy.get<std::string>(), "snapshot");
+  EXPECT_EQ(boxed.get<int>(), 7);
+  EXPECT_THROW((void)copy.get<int>(), BadPayloadCast);
+}
+
+TEST(Fabric, InFlightSlotsReleaseOnDropsAndWaitOutAFreeze) {
+  TwoNodes env;
+  Connection& conn = env.fabric.connect(env.a, env.b);
+  auto send = [&](int n) {
+    for (int i = 0; i < n; ++i) {
+      Message m;
+      m.bytes = 128;
+      m.payload = i;
+      conn.end_a().inject_tx(std::move(m));
+    }
+  };
+  Socket& rx = conn.end_b();
+  send(5);
+  env.simu.run_for(msec(10));
+  EXPECT_EQ(rx.drain_rx(), 5u);
+  EXPECT_EQ(env.fabric.messages_in_flight(), 0u);
+
+  // A frozen ingress holds its packets (and their slots) until unfreeze.
+  env.fabric.inject_freeze(env.b.id);
+  send(3);
+  env.simu.run_for(msec(10));
+  EXPECT_EQ(env.fabric.messages_in_flight(), 3u);
+  EXPECT_EQ(rx.rx_backlog(), 0u);
+  env.fabric.inject_unfreeze(env.b.id);
+  env.simu.run_for(msec(10));
+  EXPECT_EQ(rx.drain_rx(), 3u);
+  EXPECT_EQ(env.fabric.messages_in_flight(), 0u);
+
+  // Crashing while frozen drops the held packets.
+  env.fabric.inject_freeze(env.b.id);
+  send(2);
+  env.simu.run_for(msec(10));
+  EXPECT_EQ(env.fabric.messages_in_flight(), 2u);
+  env.fabric.inject_crash(env.b.id);
+  EXPECT_EQ(env.fabric.messages_in_flight(), 0u);
+  env.fabric.inject_recover(env.b.id);
+  env.fabric.inject_unfreeze(env.b.id);
+  env.simu.run_for(msec(10));
+  EXPECT_EQ(rx.rx_backlog(), 0u);
+
+  // A crashed sender or a lossy link drops at ship time.
+  env.fabric.inject_crash(env.a.id);
+  send(2);
+  env.simu.run_for(msec(10));
+  EXPECT_EQ(env.fabric.messages_in_flight(), 0u);
+  env.fabric.inject_recover(env.a.id);
+  env.fabric.inject_link_fault(env.b.id, {}, 1.0);
+  send(2);
+  env.simu.run_for(msec(10));
+  EXPECT_EQ(env.fabric.messages_in_flight(), 0u);
+  EXPECT_EQ(rx.rx_backlog(), 0u);
+}
+
 TEST(Socket, ManyMessagesArriveInOrder) {
   TwoNodes env;
   Connection& conn = env.fabric.connect(env.a, env.b);
@@ -95,7 +166,7 @@ TEST(Socket, ManyMessagesArriveInOrder) {
     for (int i = 0; i < 20; ++i) {
       Message m;
       co_await conn.end_b().recv(self, m);
-      received.push_back(std::any_cast<int>(m.payload));
+      received.push_back(m.payload.get<int>());
     }
   });
   env.a.spawn("tx", [&](SimThread& self) -> Program {
@@ -128,7 +199,7 @@ TEST(Rdma, ReadReturnsValueAtDmaInstant) {
   TwoNodes env;
   int counter = 7;
   MrKey key = env.fabric.nic(1).register_mr(
-      128, [&counter] { return std::any(counter); });
+      128, [&counter] { return net::Payload(counter); });
   CompletionQueue cq;
   QueuePair qp(env.fabric.nic(0), 1, cq);
   Completion out;
@@ -140,7 +211,7 @@ TEST(Rdma, ReadReturnsValueAtDmaInstant) {
   });
   env.simu.run_for(msec(10));
   EXPECT_EQ(out.status, WcStatus::Success);
-  EXPECT_EQ(std::any_cast<int>(out.data), 7);
+  EXPECT_EQ(out.data.get<int>(), 7);
   // One-sided READ is single-digit microseconds, far below socket RTT.
   EXPECT_GT(latency, usec(2).ns);
   EXPECT_LT(latency, usec(30).ns);
@@ -150,7 +221,7 @@ TEST(Rdma, ReadSamplesCurrentNotStaleValue) {
   TwoNodes env;
   int counter = 0;
   MrKey key = env.fabric.nic(1).register_mr(
-      64, [&counter] { return std::any(counter); });
+      64, [&counter] { return net::Payload(counter); });
   CompletionQueue cq;
   QueuePair qp(env.fabric.nic(0), 1, cq);
   // The target value changes at 5ms; a read issued at 10ms must see it.
@@ -161,20 +232,20 @@ TEST(Rdma, ReadSamplesCurrentNotStaleValue) {
     co_await rdma_read_sync(self, qp, key, 64, out);
   });
   env.simu.run_for(msec(20));
-  EXPECT_EQ(std::any_cast<int>(out.data), 42);
+  EXPECT_EQ(out.data.get<int>(), 42);
 }
 
 TEST(Rdma, WriteToReadOnlyRegionFailsWithProtectionError) {
   TwoNodes env;
   int kernel_value = 1;
   MrKey key = env.fabric.nic(1).register_mr(
-      64, [&] { return std::any(kernel_value); },
+      64, [&] { return net::Payload(kernel_value); },
       /*remote_writable=*/false);
   CompletionQueue cq;
   QueuePair qp(env.fabric.nic(0), 1, cq);
   Completion out;
   env.a.spawn("writer", [&](SimThread& self) -> Program {
-    co_await rdma_write_sync(self, qp, key, std::any(99), 64, out);
+    co_await rdma_write_sync(self, qp, key, net::Payload(99), 64, out);
   });
   env.simu.run_for(msec(10));
   EXPECT_EQ(out.status, WcStatus::ProtectionError);
@@ -185,14 +256,14 @@ TEST(Rdma, WriteToWritableRegionApplies) {
   TwoNodes env;
   int value = 1;
   MrKey key = env.fabric.nic(1).register_mr(
-      64, [&] { return std::any(value); },
+      64, [&] { return net::Payload(value); },
       /*remote_writable=*/true,
-      [&](const std::any& v) { value = std::any_cast<int>(v); });
+      [&](const net::Payload& v) { value = v.get<int>(); });
   CompletionQueue cq;
   QueuePair qp(env.fabric.nic(0), 1, cq);
   Completion out;
   env.a.spawn("writer", [&](SimThread& self) -> Program {
-    co_await rdma_write_sync(self, qp, key, std::any(99), 64, out);
+    co_await rdma_write_sync(self, qp, key, net::Payload(99), 64, out);
   });
   env.simu.run_for(msec(10));
   EXPECT_EQ(out.status, WcStatus::Success);
@@ -207,13 +278,13 @@ TEST(Rdma, WriteCompletesInvalidKeyWhenTargetMrDereggedMidFlight) {
   TwoNodes env;
   int value = 1;
   MrKey key = env.fabric.nic(1).register_mr(
-      64, [&] { return std::any(value); },
+      64, [&] { return net::Payload(value); },
       /*remote_writable=*/true,
-      [&](const std::any& v) { value = std::any_cast<int>(v); });
+      [&](const net::Payload& v) { value = v.get<int>(); });
   CompletionQueue cq;
   QueuePair qp(env.fabric.nic(0), 1, cq);
   const std::uint64_t wr = cq.alloc_wr_id();
-  qp.post_write(key, std::any(99), 64, wr);
+  qp.post_write(key, net::Payload(99), 64, wr);
   ASSERT_TRUE(env.fabric.nic(1).deregister_mr(key));  // before the DMA lands
   env.simu.run_for(msec(10));
   Completion out;
@@ -230,13 +301,13 @@ TEST(Rdma, ForgottenWriteCompletionIsDroppedAsStale) {
   TwoNodes env;
   int value = 1;
   MrKey key = env.fabric.nic(1).register_mr(
-      64, [&] { return std::any(value); },
+      64, [&] { return net::Payload(value); },
       /*remote_writable=*/true,
-      [&](const std::any& v) { value = std::any_cast<int>(v); });
+      [&](const net::Payload& v) { value = v.get<int>(); });
   CompletionQueue cq;
   QueuePair qp(env.fabric.nic(0), 1, cq);
   const std::uint64_t wr = cq.alloc_wr_id();
-  qp.post_write(key, std::any(42), 64, wr);
+  qp.post_write(key, net::Payload(42), 64, wr);
   cq.forget(wr);  // abandon before the completion arrives
   env.simu.run_for(msec(10));
   Completion out;
@@ -253,20 +324,20 @@ TEST(Rdma, ForgetAfterDeliveryIsNotStale) {
   TwoNodes env;
   int value = 0;
   MrKey key = env.fabric.nic(1).register_mr(
-      64, [&] { return std::any(value); },
+      64, [&] { return net::Payload(value); },
       /*remote_writable=*/true,
-      [&](const std::any& v) { value = std::any_cast<int>(v); });
+      [&](const net::Payload& v) { value = v.get<int>(); });
   CompletionQueue cq;
   QueuePair qp(env.fabric.nic(0), 1, cq);
   const std::uint64_t w1 = cq.alloc_wr_id();
-  qp.post_write(key, std::any(1), 64, w1);
+  qp.post_write(key, net::Payload(1), 64, w1);
   env.simu.run_for(msec(5));
   Completion out;
   ASSERT_TRUE(cq.try_pop(w1, out));
   EXPECT_EQ(out.status, WcStatus::Success);
   cq.forget(w1);  // late forget of an already-delivered WR: harmless
   const std::uint64_t w2 = cq.alloc_wr_id();
-  qp.post_write(key, std::any(2), 64, w2);
+  qp.post_write(key, net::Payload(2), 64, w2);
   env.simu.run_for(msec(5));
   ASSERT_TRUE(cq.try_pop(w2, out));  // w2 must still be delivered
   EXPECT_EQ(out.status, WcStatus::Success);
@@ -295,7 +366,7 @@ TEST(Rdma, LatencyUnaffectedByTargetCpuLoad) {
       });
     }
     MrKey key =
-        env.fabric.nic(1).register_mr(128, [] { return std::any(1); });
+        env.fabric.nic(1).register_mr(128, [] { return net::Payload(1); });
     CompletionQueue cq;
     QueuePair qp(env.fabric.nic(0), 1, cq);
     double total = 0;
@@ -364,7 +435,7 @@ TEST(SelectiveSignaling, UnsignaledSuccessesRetireViaTheCloser) {
   // the consumer (the shadow buffer surfaces unsignaled successes when a
   // closer proves them retired), but only 2 CQEs were generated.
   TwoNodes env;
-  MrKey key = env.fabric.nic(1).register_mr(64, [] { return std::any(5); });
+  MrKey key = env.fabric.nic(1).register_mr(64, [] { return net::Payload(5); });
   CompletionQueue cq;
   auto ctx = std::make_shared<QpContext>(env.fabric.nic(0),
                                          /*signal_every=*/4);
@@ -380,7 +451,7 @@ TEST(SelectiveSignaling, UnsignaledSuccessesRetireViaTheCloser) {
   for (const std::uint64_t id : ids) {
     ASSERT_TRUE(cq.try_pop(id, c));
     EXPECT_EQ(c.status, WcStatus::Success);
-    EXPECT_EQ(std::any_cast<int>(c.data), 5);
+    EXPECT_EQ(c.data.get<int>(), 5);
   }
   EXPECT_EQ(cq.cqes_signaled(), 2u);       // seq 4 and seq 8
   EXPECT_EQ(cq.unsignaled_retired(), 6u);  // proven by the two closers
@@ -412,7 +483,7 @@ TEST(SelectiveSignaling, ForgetReclaimsAShadowedUnsignaledWr) {
   // must reclaim the shadow slot right away — not at the next closer,
   // and the id must never ghost-surface afterwards.
   TwoNodes env;
-  MrKey key = env.fabric.nic(1).register_mr(64, [] { return std::any(1); });
+  MrKey key = env.fabric.nic(1).register_mr(64, [] { return net::Payload(1); });
   CompletionQueue cq;
   auto ctx = std::make_shared<QpContext>(env.fabric.nic(0),
                                          /*signal_every=*/16);
@@ -437,7 +508,7 @@ TEST(SelectiveSignaling, ForgetReclaimsAShadowedUnsignaledWr) {
 
 TEST(InflightWindow, PostsBeyondTheWindowDeferAndDrain) {
   TwoNodes env;
-  MrKey key = env.fabric.nic(1).register_mr(64, [] { return std::any(2); });
+  MrKey key = env.fabric.nic(1).register_mr(64, [] { return net::Payload(2); });
   CompletionQueue cq;
   auto ctx = std::make_shared<QpContext>(env.fabric.nic(0),
                                          /*signal_every=*/1,
@@ -463,7 +534,7 @@ TEST(CqModeration, BatchesNotificationsPerCount) {
   // cq_mod 4 over 8 completions: the consumer is woken twice, each wakeup
   // draining a 4-completion batch.
   TwoNodes env;
-  MrKey key = env.fabric.nic(1).register_mr(64, [] { return std::any(3); });
+  MrKey key = env.fabric.nic(1).register_mr(64, [] { return net::Payload(3); });
   CompletionQueue cq;
   cq.bind_moderation(env.simu, /*count=*/4, /*period=*/msec(1));
   QueuePair qp(env.fabric.nic(0), 1, cq);
@@ -490,7 +561,7 @@ TEST(CqModeration, PeriodTimerFlushesAPartialBatch) {
   // Fewer completions than the batch count: the period timer must flush
   // them, or the consumer would wait for completions that never come.
   TwoNodes env;
-  MrKey key = env.fabric.nic(1).register_mr(64, [] { return std::any(4); });
+  MrKey key = env.fabric.nic(1).register_mr(64, [] { return net::Payload(4); });
   CompletionQueue cq;
   cq.bind_moderation(env.simu, /*count=*/8, sim::usec(16));
   QueuePair qp(env.fabric.nic(0), 1, cq);
@@ -527,7 +598,7 @@ TEST(VerbsTuning, ContextPoolSizeAndPolicyFollowTuning) {
 
 TEST(NicCtxCache, UnboundedByDefaultCountsNothing) {
   TwoNodes env;  // FabricConfig default: nic_ctx_cache_entries = 0
-  MrKey key = env.fabric.nic(1).register_mr(64, [] { return std::any(1); });
+  MrKey key = env.fabric.nic(1).register_mr(64, [] { return net::Payload(1); });
   CompletionQueue cq;
   QueuePair qp(env.fabric.nic(0), 1, cq);
   for (int i = 0; i < 4; ++i) qp.post_read(key, 64, cq.alloc_wr_id());
@@ -546,7 +617,7 @@ TEST(NicCtxCache, AlternatingDedicatedContextsThrashABoundedCache) {
   FabricConfig fc;
   fc.nic_ctx_cache_entries = 1;
   TwoNodes env({}, fc);
-  MrKey key = env.fabric.nic(1).register_mr(64, [] { return std::any(1); });
+  MrKey key = env.fabric.nic(1).register_mr(64, [] { return net::Payload(1); });
   CompletionQueue cq;
   QueuePair qp1(env.fabric.nic(0), 1, cq);
   QueuePair qp2(env.fabric.nic(0), 1, cq);
@@ -569,7 +640,7 @@ TEST(NicCtxCache, SharedContextTurnsThrashIntoHits) {
   FabricConfig fc;
   fc.nic_ctx_cache_entries = 1;
   TwoNodes env({}, fc);
-  MrKey key = env.fabric.nic(1).register_mr(64, [] { return std::any(1); });
+  MrKey key = env.fabric.nic(1).register_mr(64, [] { return net::Payload(1); });
   CompletionQueue cq;
   auto ctx = std::make_shared<QpContext>(env.fabric.nic(0));
   QueuePair qp1(env.fabric.nic(0), 1, cq, ctx);
@@ -592,7 +663,7 @@ TEST(NicCtxCache, MissPenaltyDelaysTheRead) {
     fc.nic_ctx_cache_entries = cache_entries;
     TwoNodes env({}, fc);
     MrKey key =
-        env.fabric.nic(1).register_mr(64, [] { return std::any(1); });
+        env.fabric.nic(1).register_mr(64, [] { return net::Payload(1); });
     CompletionQueue cq;
     QueuePair qp(env.fabric.nic(0), 1, cq);
     std::int64_t latency = -1;

@@ -161,7 +161,7 @@ TEST(NetEdge, MulticastInjectDeliversWithoutSenderSyscall) {
   b.spawn("rx", [&](SimThread& self) -> Program {
     net::Message m;
     co_await conn.end_b().recv(self, m);
-    got = std::any_cast<int>(m.payload);
+    got = m.payload.get<int>();
   });
   // Inject from event context: no sending thread at all.
   simu.after(msec(1), [&] {
@@ -182,7 +182,7 @@ TEST(NetEdge, MultipleOutstandingRdmaReadsAllComplete) {
   fabric.attach(b);
   int value = 5;
   net::MrKey key =
-      fabric.nic(1).register_mr(64, [&] { return std::any(value); });
+      fabric.nic(1).register_mr(64, [&] { return net::Payload(value); });
   net::CompletionQueue cq;
   net::QueuePair qp(fabric.nic(0), 1, cq);
   // Post 8 reads back-to-back without waiting (pipelined).
@@ -206,7 +206,8 @@ TEST(NetEdge, DmaEngineSerializesConcurrentReads) {
   os::Node a(simu, {.name = "a"}), b(simu, {.name = "b"});
   fabric.attach(a);
   fabric.attach(b);
-  net::MrKey key = fabric.nic(1).register_mr(64, [] { return std::any(0); });
+  net::MrKey key =
+      fabric.nic(1).register_mr(64, [] { return net::Payload(0); });
   net::CompletionQueue cq;
   net::QueuePair qp(fabric.nic(0), 1, cq);
   std::vector<std::int64_t> completion_times;

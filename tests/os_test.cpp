@@ -1,11 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
 #include <stdexcept>
 #include <vector>
 
+#include "os/kernel_stats.hpp"
 #include "os/node.hpp"
 #include "os/program.hpp"
 #include "os/wait.hpp"
+#include "sim/random.hpp"
 #include "sim/simulation.hpp"
 
 namespace rdmamon::os {
@@ -452,6 +457,35 @@ TEST(Scheduler, RunqueueWaitGrowsWithThreadCount) {
   const double wait_small = measure(1);
   const double wait_big = measure(8);
   EXPECT_GT(wait_big, wait_small * 2);
+}
+
+TEST(KernelStats, MemoizedDecayIsBitwiseStdExp) {
+  auto exact = [](std::int64_t dt, std::int64_t window) {
+    return std::bit_cast<std::uint64_t>(
+        std::exp(-static_cast<double>(dt) / static_cast<double>(window)));
+  };
+  auto memo = [](std::int64_t dt, std::int64_t window) {
+    return std::bit_cast<std::uint64_t>(
+        decay_factor(sim::Duration{dt}, sim::Duration{window}));
+  };
+  sim::Rng rng(7);
+  std::vector<std::int64_t> dts;
+  for (int i = 0; i < 4000; ++i) dts.push_back(rng.uniform_int(1, 50'000'000));
+  // Many more keys than table entries: multiples of the table size and
+  // neighbours of each other fight over entries; the same dt under two
+  // windows must not share a value.
+  for (std::int64_t k = 1; k <= 2000; ++k) {
+    dts.push_back(k * 256);
+    dts.push_back(k);
+  }
+  for (int pass = 0; pass < 3; ++pass) {
+    for (const std::int64_t dt : dts) {
+      for (const std::int64_t window : {1'000'000LL, 50'000'000LL}) {
+        ASSERT_EQ(memo(dt, window), exact(dt, window))
+            << "dt " << dt << " window " << window;
+      }
+    }
+  }
 }
 
 }  // namespace

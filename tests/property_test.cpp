@@ -131,7 +131,7 @@ TEST_P(MessageSweep, EveryMessageSentIsReceivedExactlyOnce) {
     for (;;) {
       net::Message m;
       co_await conn.end_b().recv(self, m);
-      received_sum += std::any_cast<int>(m.payload);
+      received_sum += m.payload.get<int>();
       ++received;
     }
   });
@@ -162,7 +162,8 @@ TEST(RdmaProperties, ReadLatencyGrowsMonotonicallyWithSize) {
   os::Node a(simu, {.name = "a"}), b(simu, {.name = "b"});
   fabric.attach(a);
   fabric.attach(b);
-  net::MrKey key = fabric.nic(1).register_mr(1 << 20, [] { return std::any(0); });
+  net::MrKey key =
+      fabric.nic(1).register_mr(1 << 20, [] { return net::Payload(0); });
   net::CompletionQueue cq;
   net::QueuePair qp(fabric.nic(0), 1, cq);
   std::vector<double> latencies;

@@ -52,7 +52,7 @@ TEST(RoleRegion, RemoteWriteFlipsRoleAndNotifies) {
   env.frontend.spawn("writer", [&](os::SimThread& self) -> os::Program {
     co_await net::rdma_write_sync(
         self, qp, region.mr_key(),
-        std::any(static_cast<int>(Role::ServiceB)), sizeof(int), out);
+        net::Payload(static_cast<int>(Role::ServiceB)), sizeof(int), out);
   });
   env.simu.run_for(msec(10));
   EXPECT_EQ(out.status, net::WcStatus::Success);

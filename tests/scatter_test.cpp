@@ -108,7 +108,7 @@ struct RdmaEnv {
       fabric.attach(*backends.back());
       keys.push_back(fabric.nic(backends.back()->id)
                          .register_mr(256, [node = backends.back().get()] {
-                           return std::any(node->procfs().snapshot_dma());
+                           return net::Payload(node->procfs().snapshot_dma());
                          }));
     }
   }

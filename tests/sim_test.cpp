@@ -5,12 +5,51 @@
 
 #include "sim/event_queue.hpp"
 #include "sim/random.hpp"
+#include "sim/ring_queue.hpp"
 #include "sim/simulation.hpp"
 #include "sim/stats.hpp"
 #include "sim/time.hpp"
 
 namespace rdmamon::sim {
 namespace {
+
+TEST(RingQueue, KeepsFifoOrderAcrossWrapGrowthAndErase) {
+  RingQueue<int> q;
+  std::vector<int> ref;  // model: a plain vector in queue order
+  int next = 0;
+  Rng rng(3);
+  for (int step = 0; step < 5000; ++step) {
+    const std::int64_t op = rng.uniform_int(0, 9);
+    if (op < 5 || ref.empty()) {
+      q.push_back(next);
+      ref.push_back(next++);
+    } else if (op < 8) {
+      ASSERT_EQ(q.front(), ref.front());
+      q.pop_front();
+      ref.erase(ref.begin());
+    } else {
+      const auto i = static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(ref.size()) - 1));
+      q.erase(i);
+      ref.erase(ref.begin() + static_cast<std::ptrdiff_t>(i));
+    }
+    ASSERT_EQ(q.size(), ref.size());
+    std::size_t i = 0;
+    for (int v : q) ASSERT_EQ(v, ref[i++]) << "step " << step;
+  }
+}
+
+TEST(RingQueue, ClearKeepsCapacity) {
+  RingQueue<int> q;
+  for (int i = 0; i < 100; ++i) q.push_back(i);
+  const std::size_t cap = q.capacity();
+  q.clear();
+  EXPECT_TRUE(q.empty());
+  EXPECT_EQ(q.capacity(), cap);
+  for (int i = 0; i < 100; ++i) q.push_back(i);
+  EXPECT_EQ(q.capacity(), cap);
+  EXPECT_EQ(q.back(), 99);
+}
 
 TEST(Time, ArithmeticAndConversions) {
   EXPECT_EQ((msec(3) + usec(500)).ns, 3'500'000);

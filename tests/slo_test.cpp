@@ -10,7 +10,7 @@
 // post-mortem flight dump it left behind.
 #include <gtest/gtest.h>
 
-#include <any>
+#include <algorithm>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -31,6 +31,7 @@
 #include "telemetry/recorder.hpp"
 #include "telemetry/registry.hpp"
 #include "telemetry/slo.hpp"
+#include "web/cluster.hpp"
 
 namespace rdmamon {
 namespace {
@@ -117,6 +118,48 @@ TEST(FlightRecorder, MergedDumpIsTimeOrderedAcrossRings) {
   EXPECT_LT(doc.find("\"kind\": \"a2\""), doc.find("\"kind\": \"b2\""));
   // Per-ring accounting is present, in name order.
   EXPECT_LT(doc.find("\"name\": \"aaa\""), doc.find("\"name\": \"bbb\""));
+}
+
+TEST(FlightRecorder, OnlyRecordingComponentsOwnRings) {
+  // The telemetry_dashboard testbed (a RUBiS cluster whose backend0
+  // crashes mid-run): only the front end's NIC initiates
+  // one-sided ops and only fetch() writes `monitor.<frontend>`, so target
+  // and client NICs (and a scatter-only front end) must carry no ring.
+  // Rings are created on their first record, so every ring in the dump
+  // holds events.
+  sim::Simulation simu;
+  telemetry::Registry reg;
+  reg.install(simu);
+  web::ClusterConfig cfg;
+  cfg.backends = 3;
+  cfg.scheme = monitor::Scheme::RdmaSync;
+  cfg.lb_granularity = msec(10);
+  cfg.fetch_timeout = msec(5);
+  cfg.fetch_retries = 1;
+  cfg.seed = 7;
+  web::ClusterTestbed bed(simu, cfg);
+  web::ClientGroupConfig ccfg;
+  ccfg.threads_per_node = 6;
+  ccfg.think = msec(8);
+  bed.add_clients(2, web::make_rubis_generator(), ccfg);
+  fault::FaultPlan plan;
+  plan.crash_for(bed.backend(0).id, sim::TimePoint{msec(400).ns}, msec(300));
+  fault::FaultInjector inj(bed.fabric());
+  inj.arm(plan);
+  simu.run_for(seconds(1));
+
+  std::vector<std::string> names;
+  for (const telemetry::FlightRing* r : reg.recorder().rings()) {
+    names.push_back(r->name());
+    EXPECT_GT(r->recorded(), 0u) << r->name() << " was created empty";
+  }
+  EXPECT_NE(std::find(names.begin(), names.end(), "net.frontend"),
+            names.end());
+  for (const std::string& n : names) {
+    EXPECT_NE(n.rfind("net.backend", 0), 0u) << n;
+    EXPECT_NE(n.rfind("net.client", 0), 0u) << n;
+    EXPECT_NE(n, "monitor.frontend") << "scatter-only front end";
+  }
 }
 
 TEST(FlightRecorder, PostmortemWritesFileOnlyWhenDirConfigured) {
@@ -333,7 +376,7 @@ TEST(AlarmMonitor, AlarmReadableViaOneSidedRead) {
     co_await net::rdma_read_sync(self, qp, alarms.mr_key(),
                                  alarms.config().slot_bytes, c);
     if (c.status == net::WcStatus::Success) {
-      remote = std::any_cast<AlarmView>(c.data);
+      remote = c.data.get<AlarmView>();
       got = true;
     }
   });
@@ -460,7 +503,7 @@ TEST(FreshnessAlarm, DeadPublisherBreachesSloAndLeavesFlightDump) {
     co_await net::rdma_read_sync(self, qp, alarms.mr_key(),
                                  alarms.config().slot_bytes, c);
     if (c.status == net::WcStatus::Success) {
-      remote = std::any_cast<AlarmView>(c.data);
+      remote = c.data.get<AlarmView>();
       got = true;
     }
   });

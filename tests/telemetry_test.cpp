@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <any>
 #include <cstdlib>
 #include <map>
 #include <new>
@@ -762,7 +761,7 @@ TEST(Meta, SelfMonitorServesSnapshotThroughOneSidedRead) {
     co_await net::rdma_read_sync(self, qp, meta.mr_key(),
                                  meta.config().slot_bytes, c);
     if (c.status == net::WcStatus::Success) {
-      remote = std::any_cast<Snapshot>(c.data);
+      remote = c.data.get<Snapshot>();
       got = true;
     }
   });

@@ -20,15 +20,14 @@
 
 #include <chrono>
 #include <cstdint>
-#include <cstdlib>
 #include <functional>
 #include <iostream>
 #include <memory>
-#include <new>
 #include <queue>
 #include <string>
 #include <vector>
 
+#include "alloc_count.hpp"
 #include "args.hpp"
 #include "common.hpp"
 #include "report.hpp"
@@ -36,19 +35,6 @@
 #include "sim/random.hpp"
 #include "sim/time.hpp"
 #include "util/table.hpp"
-
-// Counting operator new: the zero-steady-state-allocation proof.
-namespace {
-std::uint64_t g_allocs = 0;
-}
-void* operator new(std::size_t n) {
-  ++g_allocs;
-  void* p = std::malloc(n);
-  if (!p) throw std::bad_alloc{};
-  return p;
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 
 namespace rdmamon::bench {
 namespace {
@@ -186,10 +172,10 @@ RunResult run_steady_timers(std::uint64_t events) {
     k.schedule(1'000 + i * 37, Timer{&k, 900 + i * 13, 1'000 + i * 37});
   }
   for (std::uint64_t i = 0; i < events / 10; ++i) k.pop();  // warm-up
-  const std::uint64_t a0 = g_allocs;
+  const std::uint64_t a0 = support::allocations();
   const auto t0 = Clock::now();
   for (std::uint64_t i = 0; i < events; ++i) k.pop();
-  return RunResult{events, elapsed(t0), g_allocs - a0};
+  return RunResult{events, elapsed(t0), support::allocations() - a0};
 }
 
 /// The monitoring plane's timeout pattern: each unit of work arms a
@@ -211,10 +197,10 @@ RunResult run_schedule_cancel(std::uint64_t iters) {
     (void)work;
   };
   for (std::uint64_t i = 0; i < iters / 10; ++i) iteration();  // warm-up
-  const std::uint64_t a0 = g_allocs;
+  const std::uint64_t a0 = support::allocations();
   const auto t0 = Clock::now();
   for (std::uint64_t i = 0; i < iters; ++i) iteration();
-  return RunResult{iters * 6, elapsed(t0), g_allocs - a0};
+  return RunResult{iters * 6, elapsed(t0), support::allocations() - a0};
 }
 
 /// Deltas drawn across every residence class: sub-tick, each wheel
@@ -243,10 +229,10 @@ RunResult run_multi_horizon(std::uint64_t iters) {
     k.schedule(now + 1 + (i * 7'919) % 40'000'000'000ll, [&done] { ++done; });
   }
   for (std::uint64_t i = 0; i < iters / 10; ++i) iteration();  // warm-up
-  const std::uint64_t a0 = g_allocs;
+  const std::uint64_t a0 = support::allocations();
   const auto t0 = Clock::now();
   for (std::uint64_t i = 0; i < iters; ++i) iteration();
-  return RunResult{iters * 2, elapsed(t0), g_allocs - a0};
+  return RunResult{iters * 2, elapsed(t0), support::allocations() - a0};
 }
 
 /// The scatter plane's event shape at N=4096 back ends: a standing
@@ -278,10 +264,10 @@ RunResult run_fabric_round(std::uint64_t iters) {
     arm(slot);
   };
   for (std::uint64_t i = 0; i < iters / 10; ++i) iteration();  // warm-up
-  const std::uint64_t a0 = g_allocs;
+  const std::uint64_t a0 = support::allocations();
   const auto t0 = Clock::now();
   for (std::uint64_t i = 0; i < iters; ++i) iteration();
-  return RunResult{iters * 4, elapsed(t0), g_allocs - a0};
+  return RunResult{iters * 4, elapsed(t0), support::allocations() - a0};
 }
 
 long peak_rss_kb() {

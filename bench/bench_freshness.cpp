@@ -102,7 +102,7 @@ FreshCell run_freshness(monitor::MonitorStrategy strat, int n,
                                                  pushcfg.slot_bytes);
     lb::PushPollConfig pcfg;
     pcfg.strategy = strat;
-    pcfg.adaptive.push_heartbeat = pushcfg.max_interval;
+    pcfg.adaptive.push_heartbeat = monitor::kPushMaxInterval;
     pcfg.adaptive.change_threshold = pushcfg.change_threshold;
     lb.enable_push(*inbox, pcfg);
     for (int i = 0; i < n; ++i) {

@@ -198,7 +198,7 @@ StrategyCell run_strategy(monitor::MonitorStrategy strat, int n,
   sim::Rng rng(seed);
   // Busy/idle phase length: "low" change rate flips well under the poll
   // rate (1/granularity), "high" well above the push scheme's
-  // min_interval damping.
+  // kPushMinInterval damping.
   const sim::Duration phase = high_rate ? sim::msec(20) : sim::seconds(2);
   for (int i = 0; i < n; ++i) {
     os::NodeConfig cfg;
@@ -228,7 +228,7 @@ StrategyCell run_strategy(monitor::MonitorStrategy strat, int n,
                                                  pushcfg.slot_bytes);
     lb::PushPollConfig pcfg;
     pcfg.strategy = strat;
-    pcfg.adaptive.push_heartbeat = pushcfg.max_interval;
+    pcfg.adaptive.push_heartbeat = monitor::kPushMaxInterval;
     pcfg.adaptive.change_threshold = pushcfg.change_threshold;
     lb.enable_push(*inbox, pcfg);
     for (int i = 0; i < n; ++i) {

@@ -3,6 +3,7 @@
 # machines without a GitHub runner. Usage:
 #   ./ci.sh            # tier-1 verify (build + ctest, minus LABELS slow)
 #   ./ci.sh sanitize   # ASan/UBSan build + FULL ctest incl. slow (slower)
+#   ./ci.sh werror     # warnings-as-errors build of everything + tier-1
 #   ./ci.sh bench      # quick benches + BENCH_*.json checks + golden traces
 #   ./ci.sh perf       # Release build, DES-kernel perf smoke (bench_engine)
 #   ./ci.sh slo        # freshness plane only: ctest -L slo + bench_freshness
@@ -28,6 +29,12 @@ if [[ "${1:-}" == "sanitize" ]]; then
   # Multi-tenant QoS surface (arbiter properties + TenantFault storms),
   # named for the same reason.
   ctest --test-dir build-asan -L qos --output-on-failure -j "$jobs"
+elif [[ "${1:-}" == "werror" ]]; then
+  # Every target (library, tests, benches, examples) must build with
+  # -Wall -Wextra -Werror; then the tier-1 suite runs on that build.
+  cmake -B build-werror -S . -DRDMAMON_WERROR=ON
+  cmake --build build-werror -j "$jobs"
+  ctest --test-dir build-werror --output-on-failure -j "$jobs" -LE slow
 elif [[ "${1:-}" == "bench" ]]; then
   cmake -B build -S .
   cmake --build build -j "$jobs" --target \
@@ -182,9 +189,8 @@ EOF
   done
   # Allocation gate of the served-request path: one traced rubis_zipf run
   # must stay at or under 1.2 heap allocations per served request
-  # (measured 1.12: the dispatcher's pending-table node plus the
-  # dispatch-log deque's chunks; 54 before socket messages rode pooled
-  # fabric slots with inline payloads).
+  # (measured 1.02: the dispatcher's pending-table node; 54 before socket
+  # messages rode pooled fabric slots with inline payloads).
   python3 perfbench/run.py --workload rubis_zipf --seed 1 --seconds 1 \
     --trace 1 | tail -n 1 > bench-results/perfbench_rubis_zipf_traced.json
   python3 - bench-results/perfbench_rubis_zipf_traced.json <<'EOF'

@@ -65,7 +65,7 @@ int main() {
     net::QueuePair qp{bed.fabric().nic(reader.id), meta.node_id(), cq};
     net::Completion c;
     co_await net::rdma_read_sync(self, qp, meta.mr_key(),
-                                 meta.config().slot_bytes, c);
+                                 monitor::kSelfMonitorSlotBytes, c);
     if (c.status == net::WcStatus::Success) {
       remote = c.data.get<telemetry::Snapshot>();
       remote_ok = true;

@@ -23,7 +23,7 @@ bool HashRing::add(int member) {
   if (contains(member)) return false;
   members_.insert(std::lower_bound(members_.begin(), members_.end(), member),
                   member);
-  for (int r = 0; r < cfg_.vnodes; ++r) {
+  for (int r = 0; r < kRingVnodes; ++r) {
     const std::pair<std::uint64_t, int> pt{point_hash(member, r), member};
     points_.insert(std::lower_bound(points_.begin(), points_.end(), pt), pt);
   }

@@ -75,17 +75,6 @@ void FrontendPlane::wire(sim::Duration granularity) {
   lb_.set_poll_filter([this](std::size_t b) {
     return plane_->membership().owner_of(static_cast<int>(b)) == id_;
   });
-  if (plane_->push_enabled()) {
-    // One inbox slot per back end, addressed by back-end index — every
-    // front end registers the full N slots so a shard can migrate to it
-    // without re-registration, only publisher retargeting.
-    inbox_ = std::make_unique<monitor::PushInbox>(
-        plane_->fabric(), *node_, n, plane_->config().publisher.slot_bytes);
-    lb_.enable_push(*inbox_, plane_->config().push);
-    lb_.on_mode_change([this](std::size_t b, monitor::FetchMode m) {
-      plane_->on_owner_mode(static_cast<int>(b), id_, m);
-    });
-  }
   lb_.on_round(
       [this](const std::vector<std::size_t>& targets) { on_round(targets); });
 
@@ -96,7 +85,7 @@ void FrontendPlane::wire(sim::Duration granularity) {
   // poller stalls stops refreshing while its NIC keeps serving, which
   // is exactly the stale-view signal peers key on.
   view_mr_ = plane_->fabric().nic(node_->id).register_mr(
-      plane_->config().view_bytes, [this] { return net::Payload(view_); });
+      kViewBytes, [this] { return net::Payload(view_); });
 
   // One QP per peer front end, completing into our own gossip CQ.
   peer_qps_.resize(static_cast<std::size_t>(plane_->frontend_count()));
@@ -195,7 +184,7 @@ bool FrontendPlane::may_evict() const {
   // Evicting a peer is trustworthy only while our own shard polls are
   // landing: if nothing is reachable, WE are the isolated one. The
   // evidence must be fresher than the gossip detection window
-  // ((peer_dead_after - 1) periods): a front end whose own network just
+  // ((kPeerDeadAfter - 1) periods): a front end whose own network just
   // died must lose eviction rights BEFORE its failure streak against an
   // innocent peer can mature, else two partitioned front ends at M=2
   // evict each other (split-brain). An empty shard (possible but
@@ -205,7 +194,7 @@ bool FrontendPlane::may_evict() const {
   if (owned_count() == 0) return true;
   const ScaleOutConfig& cfg = plane_->config();
   const std::int64_t guard =
-      std::min((cfg.peer_dead_after - 1) * cfg.gossip_period.ns,
+      std::min((kPeerDeadAfter - 1) * cfg.gossip_period.ns,
                cfg.staleness_bound.ns);
   const sim::Duration since = node_->simu().now() - last_local_ok_;
   return since.ns < guard;
@@ -246,7 +235,7 @@ os::Program FrontendPlane::gossip_body(os::SimThread& self) {
       net::Completion c;
       bool completed = false;
       co_await net::rdma_read_sync_until(
-          self, qp, fp.view_mr_key(), cfg.view_bytes,
+          self, qp, fp.view_mr_key(), kViewBytes,
           gossip_cq_.alloc_wr_id(), simu.now() + cfg.read_timeout, c,
           completed);
       const bool read_ok =
@@ -280,7 +269,7 @@ os::Program FrontendPlane::gossip_body(os::SimThread& self) {
       }
       std::size_t pi = static_cast<std::size_t>(peer);
       peer_fail_[pi] = fresh ? 0 : peer_fail_[pi] + 1;
-      if (peer_fail_[pi] >= cfg.peer_dead_after && may_evict() &&
+      if (peer_fail_[pi] >= kPeerDeadAfter && may_evict() &&
           mem.is_member(id_)) {
         peer_fail_[pi] = 0;
         ++evictions_;
@@ -311,7 +300,7 @@ os::Program FrontendPlane::gossip_body(os::SimThread& self) {
 
 ScaleOutPlane::ScaleOutPlane(net::Fabric& fabric, ScaleOutConfig cfg,
                              monitor::MonitorConfig mcfg)
-    : fabric_(&fabric), cfg_(cfg), mcfg_(mcfg), membership_(cfg.ring) {}
+    : fabric_(&fabric), cfg_(cfg), mcfg_(mcfg) {}
 
 ScaleOutPlane::~ScaleOutPlane() = default;
 
@@ -339,47 +328,8 @@ void ScaleOutPlane::start(sim::Duration granularity) {
   for (auto& fp : frontends_) membership_.join(fp->id(), "bootstrap");
   membership_.on_change([this] {
     for (auto& fp : frontends_) fp->on_membership_change();
-    // Publishers chase ring ownership: a shard's new owner starts
-    // receiving its back ends' pushes from their next trigger on.
-    retarget_publishers();
   });
   for (auto& fp : frontends_) fp->wire(granularity);
-  if (push_enabled()) {
-    for (auto& bm : backend_monitors_) {
-      publishers_.push_back(std::make_unique<monitor::PushPublisher>(
-          *fabric_, bm->node(), cfg_.publisher));
-    }
-    retarget_publishers();
-    for (auto& p : publishers_) p->start();
-  }
-}
-
-void ScaleOutPlane::on_owner_mode(int b, int frontend_id,
-                                  monitor::FetchMode m) {
-  if (static_cast<std::size_t>(b) >= publishers_.size()) return;
-  if (membership_.owner_of(b) != frontend_id) return;  // not the owner: stale
-  if (m == monitor::FetchMode::Pull) {
-    publishers_[static_cast<std::size_t>(b)]->pause();
-  } else {
-    publishers_[static_cast<std::size_t>(b)]->resume();
-  }
-}
-
-void ScaleOutPlane::retarget_publishers() {
-  for (std::size_t b = 0; b < publishers_.size(); ++b) {
-    const int owner = membership_.owner_of(static_cast<int>(b));
-    if (owner < 0) continue;  // empty ring: publishers keep the old aim
-    FrontendPlane& fp = frontend(owner);
-    if (fp.inbox_ == nullptr) continue;
-    publishers_[b]->target(fp.node().id, fp.inbox_->mr_key(),
-                           static_cast<int>(b));
-    // The new owner's current mode decides whether the publisher runs.
-    if (fp.lb_.fetch_mode(b) == monitor::FetchMode::Pull) {
-      publishers_[b]->pause();
-    } else {
-      publishers_[b]->resume();
-    }
-  }
 }
 
 }  // namespace rdmamon::cluster

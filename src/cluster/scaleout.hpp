@@ -37,7 +37,6 @@
 #include <string>
 #include <vector>
 
-#include "cluster/ring.hpp"
 #include "lb/balancer.hpp"
 #include "monitor/monitor.hpp"
 #include "net/fabric.hpp"
@@ -69,14 +68,17 @@ struct ShardView {
   std::vector<ViewEntry> entries;  ///< size N; valid marks owned ones
 };
 
-/// PushPollConfig whose strategy is Pull (enable_push's own default is
-/// Push, which is right for direct users but not for the plane default).
-inline lb::PushPollConfig pull_only_push_config() {
-  lb::PushPollConfig p;
-  p.strategy = monitor::MonitorStrategy::Pull;
-  return p;
-}
+/// Consecutive failed/stale view reads before a peer is evicted.
+/// (kPeerDeadAfter - 1) * gossip_period is also the freshness an
+/// evictor's own-shard evidence must show (FrontendPlane::may_evict);
+/// keep the balancer's poll round shorter than that window or no front
+/// end can ever evict.
+constexpr int kPeerDeadAfter = 3;
+/// Wire size of the view region (charged per gossip READ).
+constexpr std::size_t kViewBytes = 4096;
 
+/// Monitoring in the plane is pull-only: each front end polls its shard
+/// through the balancer's scatter rounds.
 struct ScaleOutConfig {
   /// Gossip period: each front end READs every peer's view this often.
   sim::Duration gossip_period = sim::msec(25);
@@ -86,15 +88,6 @@ struct ScaleOutConfig {
   /// strike per bound elapsed; a peer whose published view is older than
   /// this counts as failed even when the READ itself succeeds.
   sim::Duration staleness_bound = sim::msec(200);
-  /// Consecutive failed/stale view reads before a peer is evicted.
-  /// (peer_dead_after - 1) * gossip_period is also the freshness an
-  /// evictor's own-shard evidence must show (FrontendPlane::may_evict);
-  /// keep the balancer's poll round shorter than that window or no
-  /// front end can ever evict.
-  int peer_dead_after = 3;
-  /// Wire size of the view region (charged per gossip READ).
-  std::size_t view_bytes = 4096;
-  RingConfig ring;
 
   /// Verbs-layer tuning applied to every front end's monitoring channels
   /// and scatter CQ: signal-every-k, inflight windows, DCT-style shared
@@ -102,15 +95,6 @@ struct ScaleOutConfig {
   /// reproduce the historical one-context-per-channel, signal-everything
   /// behaviour byte-for-byte.
   net::VerbsTuning verbs;
-
-  /// Refresh strategy (monitor/inbox.hpp). The default Pull keeps the
-  /// plane on classic polling — no inboxes, no publishers, behaviour
-  /// byte-identical to before push existed. Push/Adaptive gives every
-  /// front end an N-slot inbox and every back end one publisher aimed at
-  /// its CURRENT ring owner's inbox (slot index = back-end index).
-  lb::PushPollConfig push = pull_only_push_config();
-  /// Publisher trigger tuning, shared by all back ends.
-  monitor::PushConfig publisher;
 };
 
 class ScaleOutPlane;
@@ -132,9 +116,6 @@ class FrontendPlane {
   /// The view peers READ (also the MR's logical content right now).
   const ShardView& view() const { return view_; }
   net::MrKey view_mr_key() const { return view_mr_; }
-
-  /// This front end's push inbox (null under strategy Pull).
-  monitor::PushInbox* inbox() { return inbox_.get(); }
 
   /// Graceful departure (drain, maintenance): leaves the ring AND stops
   /// the gossip loop from auto-rejoining. Peers take the shard over at
@@ -188,7 +169,6 @@ class FrontendPlane {
 
   ShardView view_;
   net::MrKey view_mr_{};
-  std::unique_ptr<monitor::PushInbox> inbox_;  ///< strategy != Pull only
   sim::TimePoint last_round_end_{};  ///< previous poll round's finish
   sim::TimePoint last_local_ok_{};   ///< last successful OWN-shard fetch
 
@@ -259,40 +239,16 @@ class ScaleOutPlane {
   reconfig::FrontendMembership& membership() { return membership_; }
   int owner_of(int backend) const { return membership_.owner_of(backend); }
 
-  bool push_enabled() const {
-    return cfg_.push.strategy != monitor::MonitorStrategy::Pull;
-  }
-  /// Back end `b`'s publisher (started by start(); strategy != Pull only).
-  monitor::PushPublisher& publisher(int b) {
-    return *publishers_[static_cast<std::size_t>(b)];
-  }
-
   net::Fabric& fabric() { return *fabric_; }
   const ScaleOutConfig& config() const { return cfg_; }
   const monitor::MonitorConfig& monitor_config() const { return mcfg_; }
 
  private:
-  friend class FrontendPlane;
-
-  /// Adaptive mode switch observed by `frontend`'s balancer for back end
-  /// `b`: pause the publisher while the owner pulls, resume when it goes
-  /// back to push. Ignored unless `frontend` currently owns `b`.
-  void on_owner_mode(int b, int frontend, monitor::FetchMode m);
-
-  /// Re-aims every publisher at its back end's current ring owner.
-  /// Runs inside the membership change hook — omniscient wiring (the
-  /// real protocol would gossip the new owner's inbox rkey to the back
-  /// ends; the plane already knows it), same simplification as the
-  /// plane's direct channel wiring. A publisher whose owner is unchanged
-  /// is untouched (PushPublisher::target no-ops on an identical target).
-  void retarget_publishers();
-
   net::Fabric* fabric_;
   ScaleOutConfig cfg_;
   monitor::MonitorConfig mcfg_;
   reconfig::FrontendMembership membership_;
   std::vector<std::unique_ptr<monitor::BackendMonitor>> backend_monitors_;
-  std::vector<std::unique_ptr<monitor::PushPublisher>> publishers_;
   std::vector<std::unique_ptr<FrontendPlane>> frontends_;
   bool started_ = false;
 };

@@ -69,7 +69,7 @@ os::Program GmondDaemon::gossip_body(os::SimThread& self) {
     if (!peers_.empty()) {
       net::Socket* peer = peers_[next_peer % peers_.size()];
       ++next_peer;
-      co_await peer->send(self, cfg_.metric_packet_bytes, pkt);
+      co_await peer->send(self, kMetricPacketBytes, pkt);
     }
   }
 }

@@ -14,14 +14,13 @@ constexpr sim::Duration kScanPeriod = sim::msec(5);
 }  // namespace
 
 double load_index(const os::LoadSnapshot& info, const WeightConfig& w) {
-  const double net =
-      std::min(info.net_rate / w.net_capacity_bps, 1.0);
+  const double net = std::min(info.net_rate / kNetCapacityBps, 1.0);
   const double conn = std::min(
-      static_cast<double>(info.connections) / w.conn_capacity, 1.0);
+      static_cast<double>(info.connections) / kConnCapacity, 1.0);
   const double runq = std::min(
-      static_cast<double>(info.nr_running) / w.runq_capacity, 1.0);
-  double idx = w.w_cpu * info.cpu_load + w.w_mem * info.mem_load +
-               w.w_net * net + w.w_conn * conn + w.w_runq * runq;
+      static_cast<double>(info.nr_running) / kRunqCapacity, 1.0);
+  double idx = kWeightCpu * info.cpu_load + kWeightMem * info.mem_load +
+               kWeightNet * net + kWeightConn * conn + kWeightRunq * runq;
   if (w.irq_penalty > 0.0) {
     // Ordinary traffic keeps a pending interrupt or two in flight on a
     // busy server; pressure beyond that indicates hidden load (deferred
@@ -99,20 +98,20 @@ void LoadBalancer::record_fetch(std::size_t i, bool ok) {
     h.fail_streak = 0;
     ++h.success_streak;
     // A Suspect recovers on the first good fetch; a Dead back end must
-    // prove itself for readmit_after fetches (flap damping).
+    // prove itself for kReadmitAfter fetches (flap damping).
     if (h.state == BackendHealth::Suspect ||
         (h.state == BackendHealth::Dead &&
-         h.success_streak >= health_cfg_.readmit_after)) {
+         h.success_streak >= kReadmitAfter)) {
       h.state = BackendHealth::Healthy;
     }
   } else {
     ++fetch_failures_;
     h.success_streak = 0;
     ++h.fail_streak;
-    if (h.fail_streak >= health_cfg_.dead_after) {
+    if (h.fail_streak >= kDeadAfter) {
       h.state = BackendHealth::Dead;
     } else if (h.state == BackendHealth::Healthy &&
-               h.fail_streak >= health_cfg_.suspect_after) {
+               h.fail_streak >= kSuspectAfter) {
       h.state = BackendHealth::Suspect;
     }
   }
@@ -193,7 +192,7 @@ monitor::FetchMode LoadBalancer::fetch_mode(std::size_t i) const {
   if (push_cfg_.strategy == monitor::MonitorStrategy::Push) {
     return monitor::FetchMode::Push;
   }
-  return adaptive_ ? adaptive_->mode(i) : push_cfg_.adaptive.initial;
+  return adaptive_ ? adaptive_->mode(i) : monitor::kAdaptiveInitialMode;
 }
 
 std::size_t LoadBalancer::push_prepass(sim::TimePoint now) {
@@ -220,8 +219,7 @@ std::size_t LoadBalancer::push_prepass(sim::TimePoint now) {
     // missed: verify with a READ through the normal channel, and let THAT
     // outcome drive the ladder — push silence alone never kills a back
     // end (it could be a torn slot or a lost single write).
-    if (now - push_inbox_->last_fresh(static_cast<int>(i)) >=
-        push_cfg_.silence_bound) {
+    if (now - push_inbox_->last_fresh(static_cast<int>(i)) >= kSilenceBound) {
       ++push_verifications_;
       if (reg_ != nullptr) telemetry::add(m_push_verify_);
       targets_[pulls++] = i;
@@ -235,7 +233,7 @@ void LoadBalancer::consume_push_fresh(std::size_t i,
                                       const monitor::MonitorSample& s,
                                       bool heartbeat) {
   ++push_fresh_;
-  if (adaptive_) adaptive_->on_push_fresh(i, heartbeat, s.staleness());
+  if (adaptive_) adaptive_->on_push_fresh(i, heartbeat);
   if (reg_ != nullptr) {
     telemetry::add(m_push_fresh_);
     telemetry::observe(m_push_staleness_, s.staleness());
@@ -259,8 +257,7 @@ os::Program LoadBalancer::scanner_body(os::SimThread& self) {
       }
     }
     if (scanned > 0) {
-      co_await os::Compute{push_cfg_.scan_cost *
-                           static_cast<std::int64_t>(scanned)};
+      co_await os::Compute{kScanCost * static_cast<std::int64_t>(scanned)};
     }
   }
   (void)self;
@@ -386,8 +383,8 @@ void LoadBalancer::start(os::Node& frontend, sim::Duration granularity) {
       });
   if (push_inbox_ != nullptr &&
       push_cfg_.strategy != monitor::MonitorStrategy::Pull) {
-    scanner_thread_ = frontend.spawn(
-        "lb-scanner", [this](os::SimThread& t) { return scanner_body(t); });
+    frontend.spawn("lb-scanner",
+                   [this](os::SimThread& t) { return scanner_body(t); });
   }
 }
 
@@ -409,8 +406,7 @@ os::Program LoadBalancer::poller_body(os::SimThread& self,
     if (push_inbox_ != nullptr) {
       const std::size_t scanned = push_prepass(simu.now());
       if (scanned > 0) {
-        co_await os::Compute{push_cfg_.scan_cost *
-                             static_cast<std::int64_t>(scanned)};
+        co_await os::Compute{kScanCost * static_cast<std::int64_t>(scanned)};
       }
     }
     co_await scatter_.round(self, targets_, round_buf_);
@@ -436,7 +432,7 @@ void LoadBalancer::refresh_weights() {
   };
   bool any_ok = false;
   for (std::size_t i = 0; i < channels_.size(); ++i) {
-    if (in_rotation(i) && index_[i] < weights_.overload_cutoff) {
+    if (in_rotation(i) && index_[i] < kOverloadCutoff) {
       any_ok = true;
       break;
     }
@@ -449,7 +445,7 @@ void LoadBalancer::refresh_weights() {
     double w;
     if (!in_rotation(i)) {
       w = 0.0;
-    } else if (any_ok && idx >= weights_.overload_cutoff) {
+    } else if (any_ok && idx >= kOverloadCutoff) {
       w = 0.0;
     } else if (health_[i].state == BackendHealth::Suspect) {
       w = kFloor;

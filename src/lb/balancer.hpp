@@ -7,7 +7,6 @@
 
 #include <array>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <vector>
@@ -18,6 +17,7 @@
 #include "monitor/scatter.hpp"
 #include "monitor/scheme.hpp"
 #include "os/node.hpp"
+#include "sim/ring_queue.hpp"
 #include "sim/time.hpp"
 #include "telemetry/registry.hpp"
 #include "telemetry/slo.hpp"
@@ -25,27 +25,29 @@
 namespace rdmamon::lb {
 
 /// Weights of the combined load index.
+constexpr double kWeightCpu = 0.30;
+constexpr double kWeightMem = 0.10;
+constexpr double kWeightNet = 0.10;
+constexpr double kWeightConn = 0.10;
+/// Weight of the instantaneous run-queue length (nr_running). This is
+/// the fastest-moving component of the index — the signal whose
+/// staleness separates the schemes (the utilisation EMA is smoothed by
+/// construction, run-queue length is not).
+constexpr double kWeightRunq = 0.50;
+/// Normalisers of the index components.
+constexpr double kNetCapacityBps = 1.25e9;
+constexpr int kConnCapacity = 128;
+constexpr int kRunqCapacity = 8;  ///< runnable threads considered "saturated"
+
+/// A server whose index reaches this is treated as overloaded and gets
+/// zero weight (unless every server is overloaded) — the WebSphere
+/// behaviour of taking a hot server out of rotation entirely.
+constexpr double kOverloadCutoff = 0.75;
+
+/// The scheme-dependent part of the load index.
 struct WeightConfig {
-  double w_cpu = 0.30;
-  double w_mem = 0.10;
-  double w_net = 0.10;
-  double w_conn = 0.10;
-  /// Weight of the instantaneous run-queue length (nr_running). This is
-  /// the fastest-moving component of the index — the signal whose
-  /// staleness separates the schemes (the utilisation EMA is smoothed by
-  /// construction, run-queue length is not).
-  double w_runq = 0.50;
   /// Added per pending interrupt (e-RDMA-Sync only; 0 elsewhere).
   double irq_penalty = 0.0;
-  /// Normalisers.
-  double net_capacity_bps = 1.25e9;
-  int conn_capacity = 128;
-  int runq_capacity = 8;  ///< runnable threads considered "saturated"
-
-  /// A server whose index reaches this is treated as overloaded and gets
-  /// zero weight (unless every server is overloaded) — the WebSphere
-  /// behaviour of taking a hot server out of rotation entirely.
-  double overload_cutoff = 0.75;
 
   /// Defaults for a scheme: e-RDMA-Sync turns the IRQ term on.
   static WeightConfig for_scheme(monitor::Scheme s) {
@@ -62,8 +64,8 @@ double load_index(const os::LoadSnapshot& info, const WeightConfig& w);
 /// fetch outcomes (the only signal the front end has).
 enum class BackendHealth {
   Healthy,  ///< fetches succeeding
-  Suspect,  ///< >= suspect_after consecutive failures; still dispatched
-  Dead,     ///< >= dead_after consecutive failures; out of rotation
+  Suspect,  ///< >= kSuspectAfter consecutive failures; still dispatched
+  Dead,     ///< >= kDeadAfter consecutive failures; out of rotation
 };
 
 inline const char* to_string(BackendHealth h) {
@@ -75,29 +77,33 @@ inline const char* to_string(BackendHealth h) {
   return "?";
 }
 
-/// Thresholds of the consecutive-failure detector.
+/// Thresholds of the consecutive-failure detector: failures before
+/// Suspect, failures before Dead, and successes that re-admit a Dead one.
+constexpr int kSuspectAfter = 1;
+constexpr int kDeadAfter = 3;
+constexpr int kReadmitAfter = 2;
+
+/// Probe cadence of the consecutive-failure detector.
 struct HealthConfig {
-  int suspect_after = 1;  ///< consecutive failures before Suspect
-  int dead_after = 3;     ///< consecutive failures before Dead
-  int readmit_after = 2;  ///< consecutive successes to re-admit a Dead one
   /// A Dead back end is probed only every this many poll rounds: each
   /// probe costs a full fetch_timeout, so probing every round would let
   /// one dead server slow the whole poll loop. <= 1 probes every round.
   int dead_probe_every = 8;
 };
 
+/// Inbox silence that triggers a verification READ for a push-mode back
+/// end: must exceed the publisher's heartbeat (monitor::kPushMaxInterval)
+/// plus transport and scheduling slack, or healthy back ends get
+/// needlessly verified. Silence shorter than this is neutral — it neither
+/// feeds nor resets the failure detector.
+constexpr sim::Duration kSilenceBound = sim::msec(150);
+/// Front-end CPU cost of scanning one inbox slot (a local memory read
+/// plus the seqlock checks; no doorbell, no wire).
+constexpr sim::Duration kScanCost = sim::nsec(150);
+
 /// Configuration of the push/adaptive refresh strategy (enable_push).
 struct PushPollConfig {
   monitor::MonitorStrategy strategy = monitor::MonitorStrategy::Push;
-  /// Inbox silence that triggers a verification READ for a push-mode back
-  /// end: must exceed the publisher's max_interval (heartbeat) plus
-  /// transport and scheduling slack, or healthy back ends get needlessly
-  /// verified. Silence shorter than this is neutral — it neither feeds
-  /// nor resets the failure detector.
-  sim::Duration silence_bound = sim::msec(150);
-  /// Front-end CPU cost of scanning one inbox slot (a local memory read
-  /// plus the seqlock checks; no doorbell, no wire).
-  sim::Duration scan_cost = sim::nsec(150);
   /// Controller tuning; used only when strategy == Adaptive. pull_period
   /// is overridden with the balancer's granularity at start().
   monitor::AdaptiveConfig adaptive;
@@ -149,7 +155,7 @@ class LoadBalancer {
   /// slot i of `inbox` (which must have >= backends() slots and belong to
   /// the front-end node passed to start()). Push-mode back ends are
   /// refreshed by scanning their slot; a slot silent beyond
-  /// cfg.silence_bound falls back to a verification READ through the
+  /// kSilenceBound falls back to a verification READ through the
   /// back end's normal channel, and only that fetch's outcome drives the
   /// health ladder. Strategy Adaptive instantiates the per-backend
   /// controller at start(). Call after add_backend, before start();
@@ -203,7 +209,7 @@ class LoadBalancer {
   /// Counts one staleness strike against back end `i`: the peer-view
   /// entry covering it exceeded the staleness bound, which is a
   /// monitoring failure exactly like a timed-out fetch, and feeds the
-  /// same consecutive-failure HealthConfig thresholds.
+  /// same consecutive-failure thresholds (kSuspectAfter, kDeadAfter).
   void note_stale(std::size_t i);
 
   /// Resets back end `i`'s failure detector to Healthy (zeroed streaks),
@@ -269,7 +275,7 @@ class LoadBalancer {
   /// Recent dispatch decisions, oldest first (bounded; see
   /// set_dispatch_log_capacity). Every pick() appends one record once
   /// start() has bound a clock.
-  const std::deque<DispatchRecord>& dispatch_log() const {
+  const sim::RingQueue<DispatchRecord>& dispatch_log() const {
     return dispatch_log_;
   }
   void set_dispatch_log_capacity(std::size_t cap) {
@@ -343,7 +349,6 @@ class LoadBalancer {
       round_cbs_;
   std::string telemetry_instance_;  ///< "" = unlabelled instruments
   os::SimThread* poller_thread_ = nullptr;
-  os::SimThread* scanner_thread_ = nullptr;
   std::vector<std::unique_ptr<monitor::MonitorChannel>> channels_;
   std::vector<monitor::MonitorSample> samples_;
   /// load_index of samples_[i] (0 before its first good sample), cached
@@ -378,7 +383,7 @@ class LoadBalancer {
   sim::Simulation* simu_ = nullptr;  ///< bound at start(); clock for pick()
   std::vector<ViewSource> view_src_;  ///< provenance of samples_[i]
   std::vector<std::array<LineageCell, kViewSources>> lineage_;
-  std::deque<DispatchRecord> dispatch_log_;
+  sim::RingQueue<DispatchRecord> dispatch_log_;
   std::size_t dispatch_log_cap_ = 256;
   telemetry::SloEngine* slo_ = nullptr;
   telemetry::SloEngine::Stream* s_view_age_ = nullptr;

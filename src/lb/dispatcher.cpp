@@ -63,7 +63,7 @@ std::size_t Dispatcher::fail_pending_to(int backend) {
 
 net::Socket& Dispatcher::add_client(os::Node& client_node) {
   net::Connection& conn = fabric_->connect(client_node, *frontend_);
-  frontend_->spawn("disp-fwd" + std::to_string(pending_.size()),
+  frontend_->spawn("disp-fwd" + std::to_string(clients_++),
                    [this, sock = &conn.end_b()](os::SimThread& t) {
                      return forwarder_body(t, sock);
                    });
@@ -76,7 +76,7 @@ os::Program Dispatcher::forwarder_body(os::SimThread& self,
     net::Message m;
     co_await from_client->recv(self, m);
     web::Request req = m.payload.get<web::Request>();
-    co_await os::Compute{cfg_.dispatch_cpu};
+    co_await os::Compute{kDispatchCpu};
     const int backend = lb_->pick();
     if (admission_ != nullptr &&
         !admission_->admit(lb_->index_of(backend))) {

@@ -18,9 +18,10 @@
 
 namespace rdmamon::lb {
 
+/// CPU spent routing one request (parse + table ops).
+constexpr sim::Duration kDispatchCpu = sim::usec(15);
+
 struct DispatcherConfig {
-  /// CPU spent routing one request (parse + table ops).
-  sim::Duration dispatch_cpu = sim::usec(15);
   /// When non-empty, the exported lb.dispatch.* gauges carry a
   /// {frontend=<name>} label, keeping M dispatchers on one registry
   /// apart (scale-out plane). Empty keeps the historical unlabelled
@@ -40,6 +41,11 @@ class Dispatcher {
   /// Creates a connection from `client_node` to the dispatcher; returns
   /// the client-side endpoint to send Requests on.
   net::Socket& add_client(os::Node& client_node);
+
+  /// Id for the next request a client of this dispatcher sends: dense
+  /// from 1 per dispatcher, so a run's ids (and the pending table keyed
+  /// by them) do not depend on what else ran in the process.
+  std::uint64_t next_request_id() { return next_request_id_++; }
 
   /// Optional admission control (owned by caller; nullptr = admit all).
   void set_admission(AdmissionController* adm) { admission_ = adm; }
@@ -83,6 +89,8 @@ class Dispatcher {
   std::vector<net::Socket*> backend_socks_;
   std::unordered_map<std::uint64_t, PendingEntry> pending_;  // id -> route
   std::vector<std::uint64_t> per_backend_;
+  std::uint64_t next_request_id_ = 1;
+  std::size_t clients_ = 0;  ///< add_client calls so far
   std::uint64_t forwarded_ = 0;
   std::uint64_t rejected_ = 0;
   std::uint64_t failed_over_ = 0;

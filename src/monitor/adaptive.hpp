@@ -1,18 +1,16 @@
 // Per-backend push-vs-pull mode selection (the tentpole's hybrid). The
-// controller watches two signals per backend and per decision epoch:
+// controller compares two fabric costs per backend and per decision epoch:
 //
-//  - the observed change rate χ (significant load movements per second:
-//    non-heartbeat pushes consumed while in push mode, threshold-crossing
-//    samples while in pull mode), from which it projects the push scheme's
-//    fabric cost  push_Bps = push_bytes · (χ + 1/heartbeat);
-//  - the pull scheme's fixed cost  pull_Bps = pull_bytes / poll period,
-//    plus the observed worst staleness, which can veto push outright when
-//    a staleness SLO is configured.
+//  - the push scheme's projected cost  push_Bps = kPushBytes · (χ +
+//    1/heartbeat), from the observed change rate χ (significant load
+//    movements per second: non-heartbeat pushes consumed while in push
+//    mode, threshold-crossing samples while in pull mode);
+//  - the pull scheme's fixed cost  pull_Bps = kPullBytes / poll period.
 //
 // It switches a backend only when the other mode is cheaper by the
-// hysteresis factor for `dwell_epochs` consecutive epochs AND `min_dwell`
+// kHysteresis factor for kDwellEpochs consecutive epochs AND kMinDwell
 // has elapsed since that backend's last switch — so the switch rate is
-// bounded by 1/min_dwell per backend by construction (the flap-freedom
+// bounded by 1/kMinDwell per backend by construction (the flap-freedom
 // the property suite asserts). Everything runs on the simulated clock
 // from simulated events: decisions are deterministic and never read the
 // telemetry plane (which may not be installed).
@@ -40,32 +38,30 @@ enum class MonitorStrategy {
 const char* to_string(FetchMode m);
 const char* to_string(MonitorStrategy s);
 
+/// Decision epoch: rates are measured and compared once per epoch.
+constexpr sim::Duration kAdaptiveEpoch = sim::msec(100);
+/// The candidate mode must be cheaper by this factor to be preferred.
+constexpr double kHysteresis = 1.3;
+/// Consecutive epochs the candidate must stay preferred.
+constexpr int kDwellEpochs = 2;
+/// Floor between switches of one backend (the hard flap bound).
+constexpr sim::Duration kMinDwell = sim::msec(500);
+/// Wire bytes of one pull fetch (request + reply) and one push WRITE
+/// (request+payload + ack) — the cost model's per-op constants.
+constexpr std::size_t kPullBytes = 32 + 256;
+constexpr std::size_t kPushBytes = 32 + 256 + 32;
+/// Mode every backend starts in.
+constexpr FetchMode kAdaptiveInitialMode = FetchMode::Pull;
+
 struct AdaptiveConfig {
-  /// Decision epoch: rates are measured and compared once per epoch.
-  sim::Duration epoch = sim::msec(100);
-  /// The candidate mode must be cheaper by this factor to be preferred.
-  double hysteresis = 1.3;
-  /// Consecutive epochs the candidate must stay preferred.
-  int dwell_epochs = 2;
-  /// Floor between switches of one backend (the hard flap bound).
-  sim::Duration min_dwell = sim::msec(500);
   /// change_delta() threshold counted as "the load moved" in pull mode —
   /// keep equal to PushConfig::change_threshold so both modes estimate
   /// the same χ.
   double change_threshold = 0.05;
-  /// Wire bytes of one pull fetch (request + reply) and one push WRITE
-  /// (request+payload + ack) — the cost model's per-op constants.
-  std::size_t pull_bytes = 32 + 256;
-  std::size_t push_bytes = 32 + 256 + 32;
   /// The balancer's poll granularity (pull cost denominator).
   sim::Duration pull_period = sim::msec(50);
   /// The publisher's heartbeat ceiling (push cost floor).
   sim::Duration push_heartbeat = sim::msec(100);
-  /// Worst observed push-path staleness above this forces Pull for the
-  /// backend regardless of bytes. 0 disables the veto.
-  sim::Duration staleness_slo{};
-  /// Mode every backend starts in.
-  FetchMode initial = FetchMode::Pull;
 };
 
 class AdaptiveController {
@@ -85,7 +81,7 @@ class AdaptiveController {
   /// A pull fetch of backend `i` succeeded with `info`.
   void on_pull_sample(std::size_t i, const os::LoadSnapshot& info);
   /// A Fresh inbox image of backend `i` was consumed.
-  void on_push_fresh(std::size_t i, bool heartbeat, sim::Duration staleness);
+  void on_push_fresh(std::size_t i, bool heartbeat);
 
   /// Epoch driver: call once per poll round with the simulated now.
   /// Processes a decision epoch when one has elapsed.
@@ -99,17 +95,14 @@ class AdaptiveController {
 
  private:
   struct State {
-    FetchMode mode = FetchMode::Pull;
+    FetchMode mode = kAdaptiveInitialMode;
     // Current-epoch accumulators.
-    std::uint64_t pull_samples = 0;
     std::uint64_t pull_changes = 0;
     std::uint64_t push_fresh = 0;       ///< non-heartbeat
-    std::uint64_t push_heartbeats = 0;
-    sim::Duration worst_staleness{};
     bool has_prev = false;
     os::LoadSnapshot prev;              ///< last pulled snapshot (χ in pull mode)
     // Decision state.
-    FetchMode candidate = FetchMode::Pull;
+    FetchMode candidate = kAdaptiveInitialMode;
     int candidate_epochs = 0;
     sim::TimePoint last_switch{};
     std::uint64_t switches = 0;

@@ -10,7 +10,7 @@ AlarmMonitor::AlarmMonitor(net::Fabric& fabric, os::Node& owner,
                            AlarmMonitorConfig cfg)
     : owner_(&owner), engine_(&engine), cfg_(cfg) {
   mr_key_ = fabric.nic(owner.id).register_mr(
-      cfg_.slot_bytes, [slot = &slot_] { return net::Payload(*slot); });
+      kAlarmSlotBytes, [slot = &slot_] { return net::Payload(*slot); });
   // Edge-triggered out-of-band refresh: runs synchronously inside the
   // engine's evaluate (event context, no thread to charge), so the copy
   // is uncharged — edges are rare by construction and the periodic
@@ -30,7 +30,7 @@ AlarmMonitor::~AlarmMonitor() {
 
 os::Program AlarmMonitor::publisher_body(os::SimThread& self) {
   for (;;) {
-    co_await os::Compute{cfg_.publish_cost};
+    co_await os::Compute{kAlarmPublishCost};
     publish_now();
     co_await os::SleepFor{cfg_.period};
   }

@@ -8,7 +8,7 @@
 //
 //   net::QueuePair qp{fabric.nic(reader.id), alarms.node_id(), cq};
 //   co_await net::rdma_read_sync(self, qp, alarms.mr_key(),
-//                                alarms.config().slot_bytes, c);
+//                                monitor::kAlarmSlotBytes, c);
 //   auto view = c.data.get<telemetry::AlarmView>();
 //
 // The publisher also refreshes IMMEDIATELY on every alarm edge (via
@@ -25,15 +25,16 @@
 
 namespace rdmamon::monitor {
 
+/// Registered-region size: the wire image of an AlarmView. Remote READs
+/// are charged for this many bytes.
+constexpr std::size_t kAlarmSlotBytes = 512;
+/// CPU charged per alarm publish (view build + copy into the region).
+constexpr sim::Duration kAlarmPublishCost = sim::usec(2);
+
 struct AlarmMonitorConfig {
   /// Periodic refresh of the published view (background heartbeat; the
   /// edge hook republishes out-of-band).
   sim::Duration period = sim::msec(50);
-  /// Registered-region size: the wire image of an AlarmView. Remote
-  /// READs are charged for this many bytes.
-  std::size_t slot_bytes = 512;
-  /// CPU charged per publish (view build + copy into the region).
-  sim::Duration publish_cost = sim::usec(2);
 };
 
 class AlarmMonitor {

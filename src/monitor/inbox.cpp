@@ -30,7 +30,6 @@ double change_delta(const os::LoadSnapshot& a, const os::LoadSnapshot& b) {
 PushInbox::PushInbox(net::Fabric& fabric, os::Node& frontend, int slots,
                      std::size_t slot_bytes)
     : frontend_(&frontend),
-      nic_(&fabric.nic(frontend.id)),
       slot_bytes_(slot_bytes),
       slots_(static_cast<std::size_t>(slots)),
       consumed_(static_cast<std::size_t>(slots), 0),
@@ -38,7 +37,7 @@ PushInbox::PushInbox(net::Fabric& fabric, os::Node& frontend, int slots,
                   fabric.simu().now()) {
   // One region for all N slots; the writer overwrites the addressed slot
   // blindly (raw-memory WRITE semantics — no validation at the target).
-  key_ = nic_->register_mr(
+  key_ = fabric.nic(frontend.id).register_mr(
       slot_bytes_ * static_cast<std::size_t>(slots),
       /*reader=*/nullptr,
       /*remote_writable=*/true, [this](const net::Payload& v) {
@@ -107,12 +106,6 @@ PushInbox::ScanResult PushInbox::scan(int i, MonitorSample& out,
   return ScanResult::Fresh;
 }
 
-void PushInbox::deregister() {
-  if (deregistered_) return;
-  nic_->deregister_mr(key_);
-  deregistered_ = true;
-}
-
 // --- PushPublisher ------------------------------------------------------------
 
 PushPublisher::PushPublisher(net::Fabric& fabric, os::Node& backend,
@@ -121,21 +114,11 @@ PushPublisher::PushPublisher(net::Fabric& fabric, os::Node& backend,
 
 void PushPublisher::target(int frontend_node, net::MrKey inbox_key,
                            int slot) {
-  if (frontend_node == target_node_ && inbox_key.key == inbox_key_.key &&
-      slot == slot_) {
-    return;  // same target: keep the baseline, no gratuitous re-push
-  }
+  assert(!qp_ && "target() is one-shot");
   target_node_ = frontend_node;
   inbox_key_ = inbox_key;
   slot_ = slot;
-  // A new owner starts from an empty slot: drop the baseline so the next
-  // decision pushes unconditionally instead of waiting for a change or
-  // the heartbeat. A WRITE still in flight to the old owner completes
-  // into the same CQ and is reaped normally.
-  has_baseline_ = false;
-  if (!qp_ || qp_->remote_node() != frontend_node) {
-    qp_.emplace(fabric_->nic(backend_->id), frontend_node, cq_);
-  }
+  qp_.emplace(fabric_->nic(backend_->id), frontend_node, cq_);
 }
 
 void PushPublisher::start() {
@@ -181,12 +164,12 @@ os::Program PushPublisher::body(os::SimThread& self) {
     const os::LoadSnapshot snap = backend_->procfs().snapshot();
     const sim::TimePoint now = simu.now();
     const bool heartbeat_due =
-        !has_pushed_ || now - last_push_ >= cfg_.max_interval;
+        !has_pushed_ || now - last_push_ >= kPushMaxInterval;
     const bool changed =
         !has_baseline_ ||
         change_delta(snap, baseline_) >= cfg_.change_threshold;
     const bool min_ok =
-        !has_pushed_ || now - last_push_ >= cfg_.min_interval;
+        !has_pushed_ || now - last_push_ >= kPushMinInterval;
     const bool change_push = changed && min_ok;
     if (!change_push && !heartbeat_due) continue;
     ++seq_;

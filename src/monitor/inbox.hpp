@@ -44,7 +44,7 @@ struct InboxSlot {
   std::uint64_t seq = 0;  ///< seqlock head stamp
   os::LoadSnapshot info;
   sim::TimePoint pushed_at{};  ///< back-end clock at WRITE post
-  bool heartbeat = false;      ///< pushed by the max_interval timer, not a change
+  bool heartbeat = false;      ///< pushed by the heartbeat timer, not a change
   std::uint64_t seq_check = 0; ///< seqlock tail stamp; == seq when untorn
 };
 
@@ -94,12 +94,6 @@ class PushInbox {
   /// to a verification READ before advancing the health ladder.
   sim::TimePoint last_fresh(int i) const { return last_fresh_[static_cast<std::size_t>(i)]; }
 
-  /// Tears down the MR (front-end shutdown / shard handoff). WRITEs
-  /// already in flight complete at the writer with InvalidKey — the
-  /// dereg-vs-late-completion path net_test pins down.
-  void deregister();
-  bool deregistered() const { return deregistered_; }
-
   // --- introspection --------------------------------------------------------
   std::uint64_t writes_applied() const { return writes_applied_; }
   std::uint64_t fresh() const { return fresh_; }
@@ -113,10 +107,8 @@ class PushInbox {
 
  private:
   os::Node* frontend_;
-  net::Nic* nic_;
   net::MrKey key_{};
   std::size_t slot_bytes_;
-  bool deregistered_ = false;
   std::vector<InboxSlot> slots_;
   std::vector<std::uint64_t> consumed_;   ///< last consumed seq per slot
   std::vector<sim::TimePoint> last_fresh_;
@@ -130,15 +122,16 @@ class PushInbox {
   telemetry::FlightRing* fr_ = nullptr;
 };
 
+/// Floor between change-triggered pushes (burst damping).
+constexpr sim::Duration kPushMinInterval = sim::msec(5);
+/// Heartbeat ceiling: a push goes out at least this often even with no
+/// change, so inbox silence is a bounded-delay death signal.
+constexpr sim::Duration kPushMaxInterval = sim::msec(100);
+
 /// Push-trigger tuning (back-end side).
 struct PushConfig {
   /// How often the publisher daemon wakes to sample /proc and decide.
   sim::Duration check_period = sim::msec(5);
-  /// Floor between change-triggered pushes (burst damping).
-  sim::Duration min_interval = sim::msec(5);
-  /// Heartbeat ceiling: a push goes out at least this often even with no
-  /// change, so inbox silence is a bounded-delay death signal.
-  sim::Duration max_interval = sim::msec(100);
   /// change_delta() vs the last pushed snapshot that triggers a push.
   double change_threshold = 0.05;
   /// Slot image size on the wire.
@@ -147,24 +140,21 @@ struct PushConfig {
 
 /// Back-end side: a daemon that samples /proc every check_period and
 /// RDMA-WRITEs the snapshot into its inbox slot when it moved by more than
-/// change_threshold (rate-limited by min_interval) or the max_interval
-/// heartbeat is due. At most one WRITE in flight, so sequence numbers
-/// arrive in order on the in-order RC fabric.
+/// change_threshold (rate-limited by kPushMinInterval) or the
+/// kPushMaxInterval heartbeat is due. At most one WRITE in flight, so
+/// sequence numbers arrive in order on the in-order RC fabric.
 ///
 /// Failure semantics mirror the pull schemes': a crashed peer (or this
 /// node itself crashed — the crashed-initiator case) error-completes the
 /// WRITE with RetryExceeded after the retry timeout; the publisher absorbs
 /// the error, drops its change baseline (so the next decision pushes
-/// unconditionally) and keeps going. InvalidKey (inbox deregistered, e.g.
-/// mid shard handoff) is counted separately and handled the same way —
-/// retargeting installs the new inbox.
+/// unconditionally) and keeps going.
 class PushPublisher {
  public:
   PushPublisher(net::Fabric& fabric, os::Node& backend, PushConfig cfg);
 
   /// Points this publisher at `slot` of the inbox keyed `inbox_key` on
-  /// `frontend_node`. May be called again later (shard migration): the
-  /// next decision pushes to the new owner unconditionally.
+  /// `frontend_node`. Call once, before start().
   void target(int frontend_node, net::MrKey inbox_key, int slot);
 
   /// Spawns the publisher daemon (idempotent).
@@ -174,8 +164,8 @@ class PushPublisher {
 
   /// Quiesces pushing without killing the daemon — the adaptive
   /// controller's "this back end is in pull mode now" signal (delivered
-  /// by the same omniscient wiring as target(); a real cluster would
-  /// carry it in a control message). The daemon keeps reaping
+  /// by omniscient wiring, as target() is; a real cluster would carry it
+  /// in a control message). The daemon keeps reaping
   /// completions; resume() drops the baseline so data flows again on the
   /// very next check.
   void pause() { paused_ = true; }

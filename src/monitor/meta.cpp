@@ -14,7 +14,7 @@ TelemetrySelfMonitor::TelemetrySelfMonitor(net::Fabric& fabric,
   // registered region: readers see the last PUBLISHED snapshot, not a
   // fresh one (that asynchrony is the scheme's defining trade-off).
   mr_key_ = fabric.nic(owner.id).register_mr(
-      cfg_.slot_bytes, [slot = &slot_] { return net::Payload(*slot); });
+      kSelfMonitorSlotBytes, [slot = &slot_] { return net::Payload(*slot); });
   publisher_ = owner.spawn("telemetry-pub", [this](os::SimThread& t) {
     return publisher_body(t);
   });
@@ -22,7 +22,7 @@ TelemetrySelfMonitor::TelemetrySelfMonitor(net::Fabric& fabric,
 
 os::Program TelemetrySelfMonitor::publisher_body(os::SimThread& self) {
   for (;;) {
-    co_await os::Compute{cfg_.publish_cost};
+    co_await os::Compute{kSelfMonitorPublishCost};
     slot_ = reg_->snapshot();
     ++published_;
     // The publisher is itself observable through the plane it feeds.

@@ -18,17 +18,19 @@
 
 namespace rdmamon::monitor {
 
+/// Registered-region size of a telemetry snapshot: what a wire-format
+/// snapshot would occupy. Remote READs of the region are charged for this
+/// many bytes.
+constexpr std::size_t kSelfMonitorSlotBytes = 4096;
+/// CPU charged per snapshot refresh (snapshot walk + serialisation into
+/// the registered buffer). The telemetry registry itself never charges
+/// simulated time; the PUBLISHER is a real thread doing real work, like
+/// any RDMA-Async back-end calc thread.
+constexpr sim::Duration kSelfMonitorPublishCost = sim::usec(5);
+
 struct SelfMonitorConfig {
   /// Publisher refresh period (the scheme's T).
   sim::Duration period = sim::msec(50);
-  /// Registered-region size: what a wire-format snapshot would occupy.
-  /// Remote READs of the region are charged for this many bytes.
-  std::size_t slot_bytes = 4096;
-  /// CPU charged per refresh (snapshot walk + serialisation into the
-  /// registered buffer). The telemetry registry itself never charges
-  /// simulated time; the PUBLISHER is a real thread doing real work,
-  /// like any RDMA-Async back-end calc thread.
-  sim::Duration publish_cost = sim::usec(5);
 };
 
 /// Publishes a registry's snapshot through a registered MR on `owner`'s
@@ -36,7 +38,7 @@ struct SelfMonitorConfig {
 ///
 ///   net::QueuePair qp{fabric.nic(reader.id), meta.node_id(), cq};
 ///   co_await net::rdma_read_sync(self, qp, meta.mr_key(),
-///                                meta.config().slot_bytes, c);
+///                                monitor::kSelfMonitorSlotBytes, c);
 ///   auto snap = c.data.get<telemetry::Snapshot>();
 class TelemetrySelfMonitor {
  public:

@@ -1,7 +1,7 @@
 #include "monitor/monitor.hpp"
 
 #include <cassert>
-#include <limits>
+#include <stdexcept>
 
 namespace rdmamon::monitor {
 
@@ -53,6 +53,10 @@ os::Program report_sync_body(os::SimThread& self, os::Node* node,
 BackendMonitor::BackendMonitor(net::Fabric& fabric, os::Node& backend,
                                MonitorConfig cfg)
     : fabric_(fabric), backend_(backend), cfg_(cfg) {
+  if (cfg_.fetch_timeout.ns <= 0) {
+    throw std::invalid_argument(
+        "MonitorConfig::fetch_timeout must be positive");
+  }
   if (has_calc_thread(cfg_.scheme)) {
     calc_thread_ = backend_.spawn(
         "mon-calc", [this](os::SimThread& t) {
@@ -174,10 +178,7 @@ os::Program FrontendMonitor::fetch(os::SimThread& self, MonitorSample& out) {
   sim::Duration backoff = cfg.retry_backoff;
   for (int attempt = 0;; ++attempt) {
     out.attempts = attempt + 1;
-    const sim::TimePoint deadline =
-        cfg.fetch_timeout.ns > 0
-            ? simu.now() + cfg.fetch_timeout
-            : sim::TimePoint{std::numeric_limits<std::int64_t>::max()};
+    const sim::TimePoint deadline = simu.now() + cfg.fetch_timeout;
     out.ok = false;
     FetchOp op;
     const sim::TimePoint attempt_start = simu.now();

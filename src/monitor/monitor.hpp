@@ -28,10 +28,10 @@ struct MonitorConfig {
   std::size_t reply_bytes = 256;    ///< load-info record size on the wire
 
   /// Failure handling: one fetch attempt that has not completed after
-  /// this long is abandoned (FetchError::Timeout). <= 0 disables the
-  /// deadline (pre-fault behaviour: wait forever). The default is far
-  /// above any healthy-path latency so fault-free experiments are
-  /// unaffected.
+  /// this long is abandoned (FetchError::Timeout). Must be positive
+  /// (BackendMonitor throws std::invalid_argument otherwise): every fetch
+  /// is bounded. The default is far above any healthy-path latency so
+  /// fault-free experiments are unaffected.
   sim::Duration fetch_timeout = sim::msec(200);
   /// Extra attempts after a failed first one (bounded retry).
   int fetch_retries = 2;
@@ -84,6 +84,7 @@ struct MonitorSample {
 /// registers the scheme's memory region on the back-end NIC.
 class BackendMonitor {
  public:
+  /// Throws std::invalid_argument when cfg.fetch_timeout is not positive.
   BackendMonitor(net::Fabric& fabric, os::Node& backend, MonitorConfig cfg);
   ~BackendMonitor();
 

@@ -26,7 +26,6 @@ os::Program MulticastSubscriber::rx_body(os::SimThread& self, net::Socket* sock)
     net::Message m;
     co_await sock->recv(self, m);
     info_ = m.payload.get<os::LoadSnapshot>();
-    received_ = self.node().simu().now();
     has_ = true;
     ++updates_;
   }
@@ -56,14 +55,15 @@ os::Program MulticastPublisher::publisher_body(os::SimThread& self) {
     // Hardware multicast: one send syscall, the switch replicates. We pay
     // the syscall/copy once and give each subscriber its own wire copy.
     if (!subscriber_ends_.empty()) {
-      co_await subscriber_ends_.front()->send(self, cfg_.packet_bytes, snap);
+      co_await subscriber_ends_.front()->send(self, kMulticastPacketBytes,
+                                              snap);
       for (std::size_t i = 1; i < subscriber_ends_.size(); ++i) {
         // Replicated by the switch: no extra syscall cost, direct TX.
         net::Socket* s = subscriber_ends_[i];
         net::Message m;
         m.src_node = backend_->id;
         m.dst_node = s->remote_node_id();
-        m.bytes = cfg_.packet_bytes;
+        m.bytes = kMulticastPacketBytes;
         m.payload = snap;
         s->inject_tx(std::move(m));
       }

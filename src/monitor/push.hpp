@@ -21,10 +21,12 @@
 
 namespace rdmamon::monitor {
 
+/// Wire size of one multicast status packet.
+constexpr std::size_t kMulticastPacketBytes = 256;
+
 struct MulticastConfig {
   /// Push period (the multicast analogue of the async schemes' T).
   sim::Duration period = sim::msec(50);
-  std::size_t packet_bytes = 256;
 };
 
 /// Front-end side: keeps the last pushed snapshot; reading it is free and
@@ -35,7 +37,9 @@ class MulticastSubscriber {
   MulticastSubscriber(os::Node& frontend, net::Socket& rx_end);
 
   bool has_data() const { return has_; }
-  /// Last received snapshot, stamped with its local arrival time.
+  /// Last received snapshot as a sample read at `now`: requested_at and
+  /// retrieved_at are both `now` (the local copy is free to read), so
+  /// its staleness is the whole push pipeline's delay.
   MonitorSample last(sim::TimePoint now) const;
   std::uint64_t updates() const { return updates_; }
 
@@ -44,7 +48,6 @@ class MulticastSubscriber {
 
   bool has_ = false;
   os::LoadSnapshot info_;
-  sim::TimePoint received_{};
   std::uint64_t updates_ = 0;
 };
 

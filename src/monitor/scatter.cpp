@@ -8,11 +8,6 @@ namespace {
 
 constexpr sim::TimePoint kNever{std::numeric_limits<std::int64_t>::max()};
 
-sim::TimePoint attempt_deadline(const MonitorConfig& cfg,
-                                sim::TimePoint now) {
-  return cfg.fetch_timeout.ns > 0 ? now + cfg.fetch_timeout : kNever;
-}
-
 }  // namespace
 
 void ScatterFetcher::resolve_metrics(os::Node& node) {
@@ -110,7 +105,7 @@ os::Program ScatterFetcher::round(os::SimThread& self,
       if (s.state != State::Issue) continue;
       s.out->attempts = ++s.attempt;
       ++wave;
-      const sim::TimePoint dl = attempt_deadline(s.mon->config(), simu.now());
+      const sim::TimePoint dl = simu.now() + s.mon->config().fetch_timeout;
       if (s.mon->is_rdma_transport()) {
         batch_.push_back(s.mon->prepare_read(s.op, dl));
       } else {
@@ -176,10 +171,8 @@ os::Program ScatterFetcher::round(os::SimThread& self,
     // and cancelled once per wave; both ends are O(1) on the near-future
     // wheel, so wide rounds do not tax the event queue.
     sim::EventHandle timer;
-    if (next_wake.ns != kNever.ns && simu.now() < next_wake) {
-      timer = simu.at(next_wake, [this] { cq_.wait_queue().notify_all(); });
-    }
     if (simu.now() < next_wake) {
+      timer = simu.at(next_wake, [this] { cq_.wait_queue().notify_all(); });
       co_await os::WaitOn{&cq_.wait_queue()};
     }
     timer.cancel();

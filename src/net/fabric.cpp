@@ -10,7 +10,7 @@
 namespace rdmamon::net {
 
 Fabric::Fabric(sim::Simulation& simu, FabricConfig cfg)
-    : simu_(simu), cfg_(cfg), fault_rng_(cfg.fault_seed) {}
+    : simu_(simu), cfg_(cfg), fault_rng_(kFaultSeed) {}
 
 Fabric::~Fabric() = default;
 
@@ -80,7 +80,7 @@ void Fabric::ship(std::uint32_t slot) {
   }
   // Propagation through the non-blocking switch (plus degradation).
   const sim::Duration lat =
-      cfg_.prop_latency + link_extra(msg.src_node, msg.dst_node);
+      kPropLatency + link_extra(msg.src_node, msg.dst_node);
   simu_.after(lat, [this, slot] { arrive(slot); });
 }
 

@@ -80,12 +80,10 @@ void Nic::tx(Message msg) {
   simu.at(tx_busy_, [this, slot] { fabric_.ship(slot); });
 }
 
-int Nic::pick_rx_cpu() {
-  const int fixed = fabric_.config().rx_irq_cpu;
-  const int ncpus = node_.config().cpus;
-  if (fixed >= 0 && fixed < ncpus) return fixed;
-  rr_cpu_ = (rr_cpu_ + 1) % ncpus;
-  return rr_cpu_;
+int Nic::pick_rx_cpu() const {
+  // The paper-era default routes the HCA's interrupts to the second CPU;
+  // a one-CPU node takes them on its only CPU.
+  return node_.config().cpus > 1 ? 1 : 0;
 }
 
 void Nic::rx(std::uint32_t slot) {
@@ -94,25 +92,25 @@ void Nic::rx(std::uint32_t slot) {
   node_.stats().on_net_bytes(fabric_.parked(slot).bytes, simu.now());
   const int cpu = pick_rx_cpu();
   os::IrqController& irq = node_.irq();
-  const os::NodeConfig& ncfg = node_.config();
   // Keep-up heuristic: protocol processing runs inline in IRQ context
   // while the receive path is keeping up (short HW queue, empty softirq
   // backlog); otherwise only the ack runs in the handler and the packet is
   // deferred to ksoftirqd — which competes with runnable threads.
   const bool inline_ok =
       irq.softirq_backlog(cpu) == 0 &&
-      irq.pending_hard(cpu, os::IrqType::NetRx) < ncfg.rx_inline_budget;
+      irq.pending_hard(cpu, os::IrqType::NetRx) < os::kRxInlineBudget;
   if (inline_ok) {
     irq.raise(
         cpu, os::IrqType::NetRx,
         [this, slot] { fabric_.deliver_to_socket(slot); },
-        /*extra_cost=*/ncfg.softirq_packet_cost);
+        /*extra_cost=*/os::kSoftirqPacketCost);
   } else {
     ++rx_deferred_;
     irq.raise(cpu, os::IrqType::NetRx,
-              [this, cpu, slot, cost = ncfg.softirq_packet_cost] {
+              [this, cpu, slot] {
                 node_.irq().raise_softirq(
-                    cpu, os::SoftirqItem{cost, [this, slot] {
+                    cpu, os::SoftirqItem{os::kSoftirqPacketCost,
+                                         [this, slot] {
                                            fabric_.deliver_to_socket(slot);
                                          }});
               });
@@ -168,7 +166,7 @@ sim::Duration Nic::charge_qpc(std::uint64_t ctx_id, TenantId tenant) {
   sim::Simulation& simu = fabric_.simu();
   const sim::TimePoint start =
       ctx_fetch_busy_ > simu.now() ? ctx_fetch_busy_ : simu.now();
-  ctx_fetch_busy_ = start + fabric_.config().nic_ctx_miss_penalty;
+  ctx_fetch_busy_ = start + kNicCtxMissPenalty;
   return ctx_fetch_busy_ - simu.now();
 }
 
@@ -182,7 +180,7 @@ sim::Duration Nic::charge_mr(std::uint32_t rkey) {
   if (ctx_cache_->access(kMrKeyBit | rkey, owner)) return sim::Duration{};
   // MR entry miss stalls the (already serialised) DMA engine while the
   // entry is fetched; the caller adds this to the service time.
-  return fabric_.config().nic_ctx_miss_penalty;
+  return kNicCtxMissPenalty;
 }
 
 void Nic::rdma_read(int target_node, MrKey rkey, std::size_t len,
@@ -220,11 +218,9 @@ void Nic::post(bool is_write, int target_node, MrKey rkey, Payload value,
     fr->record(is_write ? "write.post" : "read.post", target_node,
                 static_cast<std::int64_t>(wr_id), static_cast<double>(len));
   }
-  const FabricConfig& cfg = fabric_.config();
   // Wire footprint: a READ is a request out and the payload back; a WRITE
   // carries the payload out and an ack back.
-  const std::size_t footprint =
-      (is_write ? 2 : 1) * cfg.rdma_request_bytes + len;
+  const std::size_t footprint = (is_write ? 2 : 1) * kRdmaRequestBytes + len;
   rdma_wire_bytes_ += footprint;
   if (arbiter_ != nullptr) {
     // Fabric QoS: the op's full wire footprint passes the per-tenant
@@ -260,7 +256,7 @@ void Nic::start(std::uint32_t slot) {
   const QpContext& ctx = *r.route.ctx;
   const sim::Duration req =
       charge_qpc(ctx.ctx_id(), ctx.tenant()) +
-      cfg.wire_delay(cfg.rdma_request_bytes + (r.is_write ? r.len : 0)) +
+      cfg.wire_delay(kRdmaRequestBytes + (r.is_write ? r.len : 0)) +
       fabric_.link_extra(node_id(), r.target);
   fabric_.simu().after(req, [this, slot] { arrive(slot); });
 }
@@ -284,7 +280,7 @@ void Nic::arrive(std::uint32_t slot) {
   const sim::Duration service =
       target.charge_mr(r.rkey.key) + fc.rdma_dma_base +
       sim::nsec(static_cast<std::int64_t>(static_cast<double>(r.len) *
-                                          fc.rdma_dma_per_byte_ns));
+                                          kRdmaDmaPerByteNs));
   target.dma_busy_ = start + service;
   s.at(target.dma_busy_, [this, slot] { dma(slot); });
 }
@@ -325,14 +321,14 @@ void Nic::dma(std::uint32_t slot) {
   }
   const FabricConfig& fc = fabric_.config();
   const sim::Duration resp =
-      fc.wire_delay(r.is_write ? fc.rdma_request_bytes : r.len) +
+      fc.wire_delay(r.is_write ? kRdmaRequestBytes : r.len) +
       fabric_.link_extra(r.target, node_id());
   fabric_.simu().after(resp, [this, slot] { complete(slot); });
 }
 
 void Nic::fail_after_retries(std::uint32_t slot) {
   wrs_[slot].c.status = WcStatus::RetryExceeded;
-  fabric_.simu().after(fabric_.config().rdma_retry_timeout,
+  fabric_.simu().after(kRdmaRetryTimeout,
                        [this, slot] { complete(slot); });
 }
 

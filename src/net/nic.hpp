@@ -173,8 +173,8 @@ class Nic {
   };
   friend void count_doorbell(Nic& nic, std::size_t wrs);
 
-  /// CPU chosen for the next NetRx interrupt (config fixed or round-robin).
-  int pick_rx_cpu();
+  /// CPU that takes this node's NetRx interrupts.
+  int pick_rx_cpu() const;
 
   /// Receive path entry for the message in fabric slot `slot` (called by
   /// the Fabric on arrival): raises a NetRx interrupt; protocol processing
@@ -194,7 +194,6 @@ class Nic {
   std::unique_ptr<NicCtxCache> ctx_cache_;
   /// Per-tenant QoS arbiter; null when FabricConfig::qos is disabled.
   std::unique_ptr<TenantArbiter> arbiter_;
-  int rr_cpu_ = 0;
   std::uint64_t tx_packets_ = 0;
   std::uint64_t rx_packets_ = 0;
   std::uint64_t rx_deferred_ = 0;

@@ -21,15 +21,15 @@ TenantArbiter::TenantState& TenantArbiter::state_of(TenantId t) {
   if (it != ts_.end()) return it->second;
   TenantState st;
   const TenantQosSpec* spec = cfg_.find(t);
-  st.weight = spec != nullptr ? spec->weight : cfg_.default_weight;
-  if (st.weight <= 0.0) st.weight = cfg_.default_weight;
+  st.weight = spec != nullptr ? spec->weight : kQosDefaultWeight;
+  if (st.weight <= 0.0) st.weight = kQosDefaultWeight;
   st.rate_bps = spec != nullptr ? spec->rate_bps : 0.0;
   st.burst = spec != nullptr ? static_cast<double>(spec->burst_bytes) : 0.0;
   // A rated tenant needs a usable bucket; a zero depth would charge zero
   // tokens per op and void the cap entirely.
   if (st.rate_bps > 0.0 && st.burst <= 0.0) st.burst = 256.0 * 1024.0;
   st.cap = spec != nullptr && spec->queue_cap > 0 ? spec->queue_cap
-                                                  : cfg_.default_queue_cap;
+                                                  : kQosDefaultQueueCap;
   // A fresh tenant starts with a full bucket: the first burst is free,
   // the long-run rate is what the bucket bounds.
   st.tokens = st.burst;

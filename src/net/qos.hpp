@@ -59,16 +59,19 @@ struct TenantQosSpec {
   /// being forever inadmissible.
   std::size_t burst_bytes = 256 * 1024;
   /// Max ops queued at the arbiter before new ones are dropped.
-  /// 0 = use QosConfig::default_queue_cap.
+  /// 0 = use kQosDefaultQueueCap.
   std::size_t queue_cap = 0;
 };
+
+/// WFQ weight of a tenant without a spec (or with a weight <= 0).
+constexpr double kQosDefaultWeight = 1.0;
+/// Arbiter queue cap of a tenant without a spec (or with queue_cap 0).
+constexpr std::size_t kQosDefaultQueueCap = 1024;
 
 /// FabricConfig::qos. Disabled by default: no arbiter is built and the
 /// one-sided post path is exactly the historical one.
 struct QosConfig {
   bool enabled = false;
-  double default_weight = 1.0;
-  std::size_t default_queue_cap = 1024;
   std::vector<TenantQosSpec> tenants;
 
   const TenantQosSpec* find(TenantId t) const {

@@ -35,8 +35,8 @@ class IrqController {
   void raise(CpuId cpu, IrqType type, sim::InlineFn body,
              sim::Duration extra_cost = {});
 
-  /// Queues deferred work for `cpu`'s ksoftirqd (normal-priority kernel
-  /// thread; under CPU load it waits in the run queue like anyone else).
+  /// Queues deferred work for `cpu`'s ksoftirqd (a kernel thread; under
+  /// CPU load it waits in the run queue like anyone else).
   void raise_softirq(CpuId cpu, SoftirqItem item);
 
   // --- irq_stat view -------------------------------------------------------

@@ -6,9 +6,7 @@ namespace rdmamon::os {
 
 sim::Duration ProcFs::read_cost() const {
   // The task-list walk scales with the number of live threads.
-  return node_.config().proc_read_cost +
-         node_.config().proc_read_cost_per_thread *
-             node_.stats().nr_threads();
+  return kProcReadCost + kProcReadCostPerThread * node_.stats().nr_threads();
 }
 
 LoadSnapshot ProcFs::base_snapshot() const {

@@ -26,7 +26,6 @@ Scheduler::Scheduler(sim::Simulation& simu, Node& node, KernelStats& stats,
     : simu_(simu), node_(node), stats_(stats), cfg_(cfg) {
   cpus_.resize(static_cast<std::size_t>(cfg_.cpus));
   for (int i = 0; i < cfg_.cpus; ++i) cpus_[static_cast<std::size_t>(i)].id = i;
-  ready_.resize(kPriorityLevels);
 }
 
 Scheduler::~Scheduler() = default;
@@ -34,7 +33,7 @@ Scheduler::~Scheduler() = default;
 SimThread* Scheduler::spawn(std::string name, ProgramFactory factory,
                             SpawnOptions opts) {
   auto owned = std::make_unique<SimThread>(next_tid_++, std::move(name),
-                                           opts.priority, node_, *this);
+                                           node_, *this);
   SimThread* t = owned.get();
   t->set_kernel_thread(opts.kernel_thread);
   t->affinity = opts.affinity;
@@ -43,12 +42,11 @@ SimThread* Scheduler::spawn(std::string name, ProgramFactory factory,
   t->attach_factory(std::move(factory));
   stats_.on_thread_created(t->kernel_thread());
   t->state = ThreadState::Ready;
-  t->ready_since = simu_.now();
   stats_.on_thread_runnable(t->kernel_thread());
   if (Cpu* c = find_idle_cpu(t)) {
     dispatch(*c, t);
   } else {
-    enqueue_tail(t);
+    ready_.push_back(t);
   }
   return t;
 }
@@ -105,39 +103,29 @@ void Scheduler::kill(SimThread* t) {
 
 // --- ready queue -------------------------------------------------------------
 
-void Scheduler::enqueue_tail(SimThread* t) {
-  ready_[static_cast<std::size_t>(t->priority())].push_back(t);
-}
-
 SimThread* Scheduler::pick_ready(CpuId cpu) {
-  for (auto& level : ready_) {
-    for (std::size_t i = 0; i < level.size(); ++i) {
-      SimThread* t = level[i];
-      if (t->affinity == -1 || t->affinity == cpu) {
-        level.erase(i);
-        return t;
-      }
+  for (std::size_t i = 0; i < ready_.size(); ++i) {
+    SimThread* t = ready_[i];
+    if (t->affinity == -1 || t->affinity == cpu) {
+      ready_.erase(i);
+      return t;
     }
   }
   return nullptr;
 }
 
 bool Scheduler::someone_waiting_for(const Cpu& c) const {
-  const int cur_prio = static_cast<int>(c.current->priority());
-  for (int lvl = 0; lvl <= cur_prio; ++lvl) {
-    for (SimThread* t : ready_[static_cast<std::size_t>(lvl)]) {
-      if (t->affinity == -1 || t->affinity == c.id) return true;
-    }
+  for (SimThread* t : ready_) {
+    if (t->affinity == -1 || t->affinity == c.id) return true;
   }
   return false;
 }
 
 void Scheduler::remove_from_ready(SimThread* t) {
-  auto& level = ready_[static_cast<std::size_t>(t->priority())];
   std::size_t i = 0;
-  while (i < level.size() && level[i] != t) ++i;
-  assert(i < level.size());
-  level.erase(i);
+  while (i < ready_.size() && ready_[i] != t) ++i;
+  assert(i < ready_.size());
+  ready_.erase(i);
 }
 
 // --- dispatching -------------------------------------------------------------
@@ -153,30 +141,16 @@ Scheduler::Cpu* Scheduler::find_idle_cpu(SimThread* t) {
 }
 
 Scheduler::Cpu* Scheduler::find_preemptable_cpu(SimThread* t) {
-  // A CPU is preemptable only while it executes an ordinary thread
-  // segment. `!seg_active` means the CPU is mid-scheduling-decision (its
-  // current thread's coroutine body is being advanced right now — this
-  // wake may well originate from that body); preempting it would corrupt
-  // the in-flight decision.
-  auto eligible = [&](const Cpu& c) {
-    return !c.in_irq && c.current != nullptr && c.seg_active &&
-           !c.seg_is_ctx && (t->affinity == -1 || t->affinity == c.id);
-  };
-  // First pass: a CPU running a strictly lower-priority thread.
+  // An interactive waker may preempt a CPU hog. A CPU is preemptable only
+  // while it executes an ordinary thread segment. `!seg_active` means the
+  // CPU is mid-scheduling-decision (its current thread's coroutine body is
+  // being advanced right now — this wake may well originate from that
+  // body); preempting it would corrupt the in-flight decision.
   for (auto& c : cpus_) {
-    if (!eligible(c)) continue;
-    if (static_cast<int>(c.current->priority()) >
-        static_cast<int>(t->priority())) {
+    if (!c.in_irq && c.current != nullptr && c.seg_active && !c.seg_is_ctx &&
+        (t->affinity == -1 || t->affinity == c.id) &&
+        !c.current->interactive) {
       return &c;
-    }
-  }
-  // Second pass: an interactive waker may preempt a same-priority CPU hog.
-  if (t->interactive) {
-    for (auto& c : cpus_) {
-      if (!eligible(c)) continue;
-      if (c.current->priority() == t->priority() && !c.current->interactive) {
-        return &c;
-      }
     }
   }
   return nullptr;
@@ -184,7 +158,6 @@ Scheduler::Cpu* Scheduler::find_preemptable_cpu(SimThread* t) {
 
 void Scheduler::make_runnable(SimThread* t, bool interactive_wake) {
   t->state = ThreadState::Ready;
-  t->ready_since = simu_.now();
   stats_.on_thread_runnable(t->kernel_thread());
   if (Cpu* c = find_idle_cpu(t)) {
     dispatch(*c, t);
@@ -202,19 +175,18 @@ void Scheduler::make_runnable(SimThread* t, bool interactive_wake) {
         v->has_remaining = c->seg_left.ns > 0;
       }
       v->state = ThreadState::Ready;
-      v->ready_since = simu_.now();
       v->cpu = -1;
       c->current = nullptr;
-      enqueue_tail(v);
+      ready_.push_back(v);
       dispatch(*c, t);
       return;
     }
   }
-  // FIFO within the level: no head insertion, so a continuously-cycling
-  // set of interactive threads cannot starve another waiter (the 2.4
-  // epoch mechanism's fairness guarantee, in minimal form). Interactivity
-  // only buys preemption over non-interactive currents, above.
-  enqueue_tail(t);
+  // FIFO: no head insertion, so a continuously-cycling set of interactive
+  // threads cannot starve another waiter (the 2.4 epoch mechanism's
+  // fairness guarantee, in minimal form). Interactivity only buys
+  // preemption over non-interactive currents, above.
+  ready_.push_back(t);
 }
 
 void Scheduler::dispatch(Cpu& c, SimThread* t) {
@@ -222,8 +194,6 @@ void Scheduler::dispatch(Cpu& c, SimThread* t) {
   t->state = ThreadState::Running;
   t->cpu = c.id;
   c.current = t;
-  t->runqueue_wait_ns.add(
-      static_cast<double>((simu_.now() - t->ready_since).ns));
   ++ctx_switches_;
   c.quantum_left = cfg_.quantum;
   c.quantum_ev.cancel();
@@ -328,10 +298,9 @@ void Scheduler::preempt(Cpu& c) {
   }
   t->interactive = false;  // descheduled involuntarily: a CPU hog
   t->state = ThreadState::Ready;
-  t->ready_since = simu_.now();
   t->cpu = -1;
   c.current = nullptr;
-  enqueue_tail(t);
+  ready_.push_back(t);
   cpu_try_dispatch(c);
 }
 
@@ -409,8 +378,7 @@ void Scheduler::deschedule(Cpu& c, ThreadState new_state, bool voluntary) {
   switch (new_state) {
     case ThreadState::Ready:
       // Voluntary yield (or sleep(0)): runnable again at the tail.
-      t->ready_since = simu_.now();
-      enqueue_tail(t);
+      ready_.push_back(t);
       break;
     case ThreadState::Sleeping:
     case ThreadState::Blocked:

@@ -2,10 +2,10 @@
 //
 // Model (a deliberately simplified Linux-2.4-era design, documented in
 // DESIGN.md):
-//  - static priority levels, FIFO round-robin with a fixed quantum inside
-//    each level (FIFO also on wakeup — no head insertion — so cycling
-//    interactive threads cannot starve another waiter, the minimal form of
-//    the 2.4 epoch fairness guarantee);
+//  - one FIFO run queue, round-robin with a fixed quantum (FIFO also on
+//    wakeup — no head insertion — so cycling interactive threads cannot
+//    starve another waiter, the minimal form of the 2.4 epoch fairness
+//    guarantee);
 //  - an "interactive" bit standing in for the counter/goodness sleeper
 //    bonus: a thread that voluntarily blocked may, on wakeup, preempt a
 //    running CPU hog (a thread last descheduled by quantum expiry), but
@@ -40,7 +40,6 @@ class Node;
 
 /// Options for Scheduler::spawn.
 struct SpawnOptions {
-  Priority priority = Priority::Normal;
   bool kernel_thread = false;  ///< excluded from user nr_running
   CpuId affinity = -1;         ///< pin to one CPU, or -1 for any
   bool interactive_allowed = true;  ///< see SimThread::interactive_allowed
@@ -117,15 +116,15 @@ class Scheduler {
   };
 
   // Ready-queue management.
-  void enqueue_tail(SimThread* t);
   SimThread* pick_ready(CpuId cpu);
   bool someone_waiting_for(const Cpu& c) const;
   void remove_from_ready(SimThread* t);
 
   // Dispatching.
   Cpu* find_idle_cpu(SimThread* t);
+  /// A CPU an interactive waker may take from its non-interactive current.
   Cpu* find_preemptable_cpu(SimThread* t);
-  void make_runnable(SimThread* t, bool prefer_head);
+  void make_runnable(SimThread* t, bool interactive_wake);
   void dispatch(Cpu& c, SimThread* t);
   void cpu_try_dispatch(Cpu& c);
   void start_segment(Cpu& c, sim::Duration d, CpuState state, bool is_ctx);
@@ -149,7 +148,7 @@ class Scheduler {
   NodeConfig cfg_;
 
   std::vector<Cpu> cpus_;
-  std::vector<sim::RingQueue<SimThread*>> ready_;  // one per priority level
+  sim::RingQueue<SimThread*> ready_;
   std::vector<std::unique_ptr<SimThread>> threads_;
   ThreadId next_tid_ = 1;
   std::uint64_t ctx_switches_ = 0;

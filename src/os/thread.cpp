@@ -48,10 +48,9 @@ void ProgramPromise::operator delete(void* p, std::size_t bytes) noexcept {
   ::operator delete(p, bytes);
 }
 
-SimThread::SimThread(ThreadId tid, std::string name, Priority prio,
-                     Node& node, Scheduler& sched)
-    : tid_(tid), name_(std::move(name)), prio_(prio), node_(node),
-      sched_(sched) {}
+SimThread::SimThread(ThreadId tid, std::string name, Node& node,
+                     Scheduler& sched)
+    : tid_(tid), name_(std::move(name)), node_(node), sched_(sched) {}
 
 void SimThread::attach_factory(std::function<Program(SimThread&)> factory) {
   assert(!root_.valid());

@@ -9,7 +9,6 @@
 #include "os/program.hpp"
 #include "os/types.hpp"
 #include "sim/event_queue.hpp"
-#include "sim/stats.hpp"
 #include "sim/time.hpp"
 
 namespace rdmamon::os {
@@ -20,8 +19,7 @@ class WaitQueue;
 
 class SimThread {
  public:
-  SimThread(ThreadId tid, std::string name, Priority prio, Node& node,
-            Scheduler& sched);
+  SimThread(ThreadId tid, std::string name, Node& node, Scheduler& sched);
 
   // Not movable/copyable: coroutine promises hold stable pointers to it.
   SimThread(const SimThread&) = delete;
@@ -44,7 +42,6 @@ class SimThread {
   // --- identity & config -------------------------------------------------
   ThreadId tid() const { return tid_; }
   const std::string& name() const { return name_; }
-  Priority priority() const { return prio_; }
   Node& node() { return node_; }
   Scheduler& scheduler() { return sched_; }
 
@@ -85,18 +82,13 @@ class SimThread {
   /// the handle goes inert on its own once the wakeup fires).
   sim::EventHandle sleep_event;
 
-  /// Set when the thread became Ready; measures run-queue wait.
-  sim::TimePoint ready_since{};
-
   // --- statistics ---------------------------------------------------------
   sim::Duration user_time{};
   sim::Duration system_time{};
-  sim::OnlineStats runqueue_wait_ns;  ///< ready -> running latency samples
 
  private:
   ThreadId tid_;
   std::string name_;
-  Priority prio_;
   Node& node_;
   Scheduler& sched_;
   bool kernel_thread_ = false;

@@ -20,17 +20,6 @@ enum class ThreadState {
   Finished,  ///< exited
 };
 
-/// Static priority levels, lower value = scheduled first. All application
-/// and kernel-helper threads default to Normal; the scheduler's
-/// "interactive" heuristic (not priority) is what differentiates sleepers
-/// from CPU hogs, like the 2.4-era goodness() bonus.
-enum class Priority : int {
-  High = 0,    ///< reserved (e.g. latency-critical kernel work)
-  Normal = 1,  ///< default for everything, including ksoftirqd
-  Low = 2,     ///< nice'd background work
-};
-constexpr int kPriorityLevels = 3;
-
 /// Hardware interrupt sources tracked in irq_stat.
 enum class IrqType : int {
   Timer = 0,
@@ -44,6 +33,25 @@ constexpr int kIrqTypes = 4;
 /// per-CPU interrupt counts. Node construction rejects more.
 constexpr int kMaxCpus = 16;
 
+/// Kernel time to service one /proc load-snapshot read (trap + kernel
+/// walks task lists and counters). Dominates monitoring overhead.
+constexpr sim::Duration kProcReadCost = sim::usec(150);
+
+/// Additional /proc read cost per live thread (the task-list walk).
+constexpr sim::Duration kProcReadCostPerThread = sim::usec(6);
+
+/// Per-packet protocol processing cost (the IPoIB receive path of the
+/// paper's era was expensive: IP-over-IB encapsulation on a 2.4 stack).
+constexpr sim::Duration kSoftirqPacketCost = sim::usec(6);
+
+/// Packets processed inline in hard-IRQ context before deferring the
+/// rest to ksoftirqd (the receive-livelock / NAPI-budget knob that makes
+/// socket monitoring latency grow with load, Fig 3).
+constexpr int kRxInlineBudget = 4;
+
+/// ksoftirqd drains at most this many packets before yielding.
+constexpr int kSoftirqBatch = 16;
+
 /// Per-node OS tuning knobs. Defaults approximate the paper's testbed
 /// (dual 2.4 GHz Xeon, RedHat 9 / Linux 2.4-era behaviour).
 struct NodeConfig {
@@ -54,33 +62,14 @@ struct NodeConfig {
   /// The paper notes reporting resolution is bounded by this (Section 3).
   int hz = 1000;
 
-  /// Round-robin timeslice for threads of equal priority.
+  /// Round-robin timeslice.
   sim::Duration quantum = sim::msec(10);
 
   /// Cost of a context switch, charged as system time on dispatch.
   sim::Duration context_switch_cost = sim::usec(3);
 
-  /// Kernel time to service one /proc load-snapshot read (trap + kernel
-  /// walks task lists and counters). Dominates monitoring overhead.
-  sim::Duration proc_read_cost = sim::usec(150);
-
-  /// Additional /proc read cost per live thread (the task-list walk).
-  sim::Duration proc_read_cost_per_thread = sim::usec(6);
-
   /// Hardware IRQ handler entry/exit cost.
   sim::Duration irq_handler_cost = sim::usec(2);
-
-  /// Per-packet protocol processing cost (the IPoIB receive path of the
-  /// paper's era was expensive: IP-over-IB encapsulation on a 2.4 stack).
-  sim::Duration softirq_packet_cost = sim::usec(6);
-
-  /// Packets processed inline in hard-IRQ context before deferring the
-  /// rest to ksoftirqd (the receive-livelock / NAPI-budget knob that makes
-  /// socket monitoring latency grow with load, Fig 3).
-  int rx_inline_budget = 4;
-
-  /// ksoftirqd drains at most this many packets before yielding.
-  int softirq_batch = 16;
 
   /// Window of the continuous-time EMA used for CPU utilisation.
   sim::Duration load_window = sim::msec(100);

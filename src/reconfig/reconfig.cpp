@@ -72,10 +72,10 @@ os::Program ReconfigManager::manager_body(os::SimThread& self) {
   for (;;) {
     // Refresh every back end's load through the configured scheme — one
     // scatter round, so a dead back end costs a fetch_timeout once per
-    // round instead of stalling the sweep. A back end failing dead_after
-    // fetches in a row loses its vote: its stale load no longer weighs on
-    // pool decisions and it cannot be picked for a role flip until it
-    // answers again.
+    // round instead of stalling the sweep. A back end failing
+    // kReconfigDeadAfter fetches in a row loses its vote: its stale load
+    // no longer weighs on pool decisions and it cannot be picked for a
+    // role flip until it answers again.
     co_await scatter_.round_all(self, round_buf_);
     for (std::size_t i = 0; i < channels_.size(); ++i) {
       const monitor::MonitorSample& s = round_buf_[i];
@@ -85,7 +85,7 @@ os::Program ReconfigManager::manager_body(os::SimThread& self) {
       } else {
         ++fetch_failures_;
         ++fail_streak_[i];
-        if (fail_streak_[i] >= cfg_.dead_after) samples_[i].ok = false;
+        if (fail_streak_[i] >= kReconfigDeadAfter) samples_[i].ok = false;
       }
     }
 
@@ -94,7 +94,7 @@ os::Program ReconfigManager::manager_body(os::SimThread& self) {
     const double gap = load_a - load_b;
     const bool cooled =
         (simu.now() - last_reconfig_) >= cfg_.cooldown;
-    if (cooled && std::abs(gap) >= cfg_.imbalance_threshold) {
+    if (cooled && std::abs(gap) >= kImbalanceThreshold) {
       const Role cool = gap > 0 ? Role::ServiceB : Role::ServiceA;
       const Role hot = gap > 0 ? Role::ServiceA : Role::ServiceB;
       if (nodes_in(cool) > cfg_.min_nodes_per_service) {

@@ -2,8 +2,6 @@
 
 namespace rdmamon::web {
 
-std::uint64_t ClientGroup::next_request_id_ = 1;
-
 ClientGroup::ClientGroup(net::Fabric& fabric, lb::Dispatcher& dispatcher,
                          std::vector<os::Node*> client_nodes,
                          RequestGenerator gen, ClientGroupConfig cfg,
@@ -30,7 +28,7 @@ os::Program ClientGroup::client_body(os::SimThread& self, net::Socket* sock,
   sim::Simulation& simu = self.node().simu();
   for (;;) {
     Request req = gen_(*rng);
-    req.id = next_request_id_++;
+    req.id = dispatcher_->next_request_id();
     req.request_bytes = cfg_.request_bytes;
     req.created_at = simu.now();
     co_await sock->send(self, req.request_bytes, req);

@@ -50,7 +50,6 @@ class ClientGroup {
   ResponseStats stats_;
   /// Publishes stats_ percentiles at snapshot time.
   telemetry::ScopedCollector collector_;
-  static std::uint64_t next_request_id_;
 };
 
 }  // namespace rdmamon::web

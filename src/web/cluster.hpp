@@ -29,7 +29,7 @@ struct ClusterConfig {
   /// hash, gossip shard views over one-sided READs, and each run their
   /// own dispatcher (client groups are assigned round-robin).
   int frontends = 1;
-  /// Scale-out tuning (gossip cadence, staleness bound, ring vnodes).
+  /// Scale-out tuning (gossip cadence, staleness bound, verbs tuning).
   /// Ignored when frontends == 1.
   cluster::ScaleOutConfig scaleout;
   monitor::Scheme scheme = monitor::Scheme::RdmaSync;

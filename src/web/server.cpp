@@ -37,12 +37,12 @@ os::Program WebServer::worker_body(os::SimThread& self) {
     while (queue_.empty()) co_await os::WaitOn{&work_wq_};
     PendingWork work = std::move(queue_.front());
     queue_.pop_front();
-    node_->stats().alloc_memory(cfg_.per_request_memory);
+    node_->stats().alloc_memory(kPerRequestMemory);
     const ServiceDemand& d = work.req.demand;
     if (d.cpu_php.ns > 0) co_await os::Compute{d.cpu_php};
     if (d.cpu_db.ns > 0) co_await os::Compute{d.cpu_db};
     if (d.io_wait.ns > 0) co_await os::SleepFor{d.io_wait};
-    node_->stats().free_memory(cfg_.per_request_memory);
+    node_->stats().free_memory(kPerRequestMemory);
     Reply reply;
     reply.id = work.req.id;
     reply.query_class = work.req.query_class;

@@ -14,11 +14,12 @@
 
 namespace rdmamon::web {
 
+/// Transient memory held while a request is processed (shows up in the
+/// back end's memory load index).
+constexpr std::uint64_t kPerRequestMemory = 4ull << 20;
+
 struct ServerConfig {
   int workers = 8;
-  /// Transient memory held while a request is processed (shows up in the
-  /// back end's memory load index).
-  std::uint64_t per_request_memory = 4ull << 20;
 };
 
 class WebServer {

@@ -109,8 +109,8 @@ void DisturbanceGenerator::fire() {
   os::Node* victim = targets_[idx];
   ++events_;
   // The co-hosted job ramps up in stages of compute+comm threads.
-  for (int stage = 0; stage < cfg_.stages; ++stage) {
-    fabric_->simu().after(cfg_.stage_interval * stage,
+  for (int stage = 0; stage < kDisturbanceStages; ++stage) {
+    fabric_->simu().after(kStageInterval * stage,
                           [this, gen, victim] {
                             if (generation_ != gen) return;
                             active_.push_back(std::make_unique<BackgroundLoad>(

@@ -47,6 +47,17 @@ class BackgroundLoad {
   os::Node* peer_;
 };
 
+/// A disturbance's job ramps up: DisturbanceConfig::stage threads join
+/// kDisturbanceStages times, kStageInterval apart (batch jobs spin up
+/// gradually) — fresh monitors can evacuate the victim before the ramp
+/// peaks, stale ones cannot. The threads block on their own traffic
+/// frequently, so like real 2.4-era interactive tasks they are never
+/// preemptable by woken web workers or monitor threads: everything on the
+/// victim waits its FIFO turn behind them (the Fig 3 mechanism, applied
+/// app-side).
+constexpr int kDisturbanceStages = 5;
+constexpr sim::Duration kStageInterval = sim::msec(100);
+
 /// Shared-environment disturbances: at random intervals, a random target
 /// node receives a burst of co-hosted activity (compute + network chatter
 /// with a neighbour) for a bounded duration — backups, batch jobs, other
@@ -58,15 +69,7 @@ struct DisturbanceConfig {
   sim::Duration mean_interval = sim::msec(1100);  ///< exp-distributed gap
   /// Lifetime of one disturbance, first stage to teardown.
   sim::Duration duration = sim::msec(900);
-  /// The job ramps up: `stage.threads` compute+communication threads join
-  /// every `stage_interval` (batch jobs spin up gradually) — fresh
-  /// monitors can evacuate the victim before the ramp peaks, stale ones
-  /// cannot. The threads block on their own traffic frequently, so like
-  /// real 2.4-era interactive tasks they are never preemptable by woken
-  /// web workers or monitor threads: everything on the victim waits its
-  /// FIFO turn behind them (the Fig 3 mechanism, applied app-side).
-  int stages = 5;
-  sim::Duration stage_interval = sim::msec(100);
+  /// One ramp stage: compute+communication threads joining together.
   BackgroundLoadConfig stage{
       .threads = 2,
       .compute_slice = sim::msec(4),

@@ -8,13 +8,13 @@ ZipfTrace::ZipfTrace(ZipfTraceConfig cfg, std::uint64_t seed)
   sizes_.reserve(cfg_.documents);
   for (std::size_t i = 0; i < cfg_.documents; ++i) {
     sizes_.push_back(static_cast<std::uint32_t>(
-        rng.bounded_pareto(cfg_.size_shape, cfg_.min_bytes, cfg_.max_bytes)));
+        rng.bounded_pareto(kDocSizeShape, kDocMinBytes, kDocMaxBytes)));
   }
   // Cache the most popular documents until the budget runs out.
   cached_.assign(cfg_.documents, false);
   std::uint64_t used = 0;
   for (std::size_t i = 0; i < cfg_.documents; ++i) {
-    if (used + sizes_[i] > cfg_.cache_bytes) break;
+    if (used + sizes_[i] > kZipfCacheBytes) break;
     used += sizes_[i];
     cached_[i] = true;
   }
@@ -28,15 +28,13 @@ StaticRequest ZipfTrace::sample(sim::Rng& rng) const {
   r.cached = cached_[idx];
   const double b = static_cast<double>(r.bytes);
   if (r.cached) {
-    r.cpu_demand = cfg_.base_cpu +
-                   sim::nsec(static_cast<std::int64_t>(b *
-                                                       cfg_.mem_ns_per_byte));
+    r.cpu_demand = kStaticBaseCpu +
+                   sim::nsec(static_cast<std::int64_t>(b * kMemNsPerByte));
     r.io_wait = {};
   } else {
-    r.cpu_demand = cfg_.base_cpu;
-    r.io_wait = cfg_.disk_base +
-                sim::nsec(static_cast<std::int64_t>(b *
-                                                    cfg_.disk_ns_per_byte));
+    r.cpu_demand = kStaticBaseCpu;
+    r.io_wait =
+        kDiskBase + sim::nsec(static_cast<std::int64_t>(b * kDiskNsPerByte));
   }
   return r;
 }

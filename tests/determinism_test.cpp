@@ -89,6 +89,46 @@ bool has_event(const std::string& dump, const std::string& kind) {
   return dump.find("\"kind\": \"" + kind + "\"") != std::string::npos;
 }
 
+/// One crash-and-failover sweep point: 32 closed-loop RUBiS clients with
+/// 1 ms think time keep many requests pending when back end 0 crashes,
+/// so the dispatcher's failover rejects a batch of them. Returns the
+/// telemetry snapshot and the flight-recorder dump.
+std::string run_failover_point(std::uint64_t seed) {
+  sim::Simulation simu;
+  telemetry::Registry reg;
+  reg.install(simu);
+  web::ClusterConfig cfg;
+  cfg.seed = seed;
+  cfg.backends = 3;
+  cfg.lb_granularity = msec(10);
+  cfg.fetch_timeout = msec(5);
+  cfg.fetch_retries = 1;
+  cfg.retry_backoff = msec(1);
+  web::ClusterTestbed bed(simu, cfg);
+  web::ClientGroupConfig ccfg;
+  ccfg.threads_per_node = 8;
+  ccfg.think = msec(1);
+  bed.add_clients(4, web::make_rubis_generator(), ccfg);
+  fault::FaultPlan plan;
+  plan.crash_for(bed.backend(0).id, sim::TimePoint{msec(300).ns}, msec(400));
+  fault::FaultInjector inj(bed.fabric());
+  inj.arm(plan);
+  simu.run_for(seconds(1));
+  EXPECT_GT(bed.dispatcher().failed_over(), 1u) << "no failover batch";
+  return telemetry::to_json(reg.snapshot()).dump(2) +
+         reg.recorder().dump("failover").dump(2);
+}
+
+TEST(Determinism, FailoverPointDoesNotDependOnEarlierRunsInTheProcess) {
+  // A sweep runs its points one after another in one process. Request ids
+  // key the dispatcher's pending table, whose iteration order decides the
+  // order of failover rejects, so a point's output must not depend on the
+  // ids the points before it used.
+  const std::string alone = run_failover_point(11);
+  run_failover_point(12);  // an earlier point of the same sweep
+  EXPECT_EQ(alone, run_failover_point(11));
+}
+
 TEST(Determinism, SameSeedSameTelemetryAndSpans) {
   const TraceDump a = run_rubis(42, 1);
   const TraceDump b = run_rubis(42, 1);

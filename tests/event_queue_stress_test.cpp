@@ -7,31 +7,15 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstdlib>
 #include <map>
-#include <new>
 #include <utility>
 #include <vector>
 
+#include "alloc_count.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/random.hpp"
 #include "sim/simulation.hpp"
 #include "sim/time.hpp"
-
-// Global allocation counter for the zero-steady-state-allocation proof
-// (same trick as telemetry_test: gtest itself allocates, so tests bracket
-// exactly the code under test).
-namespace {
-std::uint64_t g_allocs = 0;
-}
-void* operator new(std::size_t n) {
-  ++g_allocs;
-  void* p = std::malloc(n);
-  if (!p) throw std::bad_alloc{};
-  return p;
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 
 namespace rdmamon::sim {
 namespace {
@@ -233,20 +217,21 @@ TEST(EventQueueStress, SteadyStateSchedulingDoesNotAllocate) {
                Periodic{&simu, &ticks, 900 + i * 13});
   }
   simu.run_until(TimePoint{2'000'000});  // warm-up: pools + vectors grow
-  const std::uint64_t before = g_allocs;
+  const std::uint64_t before = support::allocations();
   const std::size_t pool_before = simu.events_pending();
   simu.run_until(TimePoint{20'000'000});
-  EXPECT_EQ(g_allocs, before) << "steady-state run allocated";
+  EXPECT_EQ(support::allocations(), before) << "steady-state run allocated";
   EXPECT_EQ(simu.events_pending(), pool_before);
   EXPECT_GT(ticks, 10'000u);
 
   // Timeout pattern on the warm queue: schedule+cancel must not allocate.
-  const std::uint64_t before2 = g_allocs;
+  const std::uint64_t before2 = support::allocations();
   for (int i = 0; i < 1'000; ++i) {
     EventHandle h = simu.after(Duration{5'000}, [] {});
     h.cancel();
   }
-  EXPECT_EQ(g_allocs, before2) << "schedule/cancel pair allocated";
+  EXPECT_EQ(support::allocations(), before2)
+      << "schedule/cancel pair allocated";
 }
 
 TEST(EventQueueStress, HandlesSurviveSlotReuseAcrossGenerations) {

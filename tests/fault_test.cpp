@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -61,6 +62,20 @@ struct Env {
     fabric.attach(backend);   // id 1
   }
 };
+
+// --- every fetch is bounded: a non-positive timeout is rejected -------------
+
+TEST(BoundedFetch, NonPositiveFetchTimeoutIsRejectedAtConstruction) {
+  Env env;
+  MonitorConfig mcfg;
+  mcfg.fetch_timeout = sim::Duration{0};
+  EXPECT_THROW((monitor::MonitorChannel{env.fabric, env.frontend,
+                                        env.backend, mcfg}),
+               std::invalid_argument);
+  web::ClusterConfig cfg;
+  cfg.fetch_timeout = sim::Duration{0};
+  EXPECT_THROW((web::ClusterTestbed{env.simu, cfg}), std::invalid_argument);
+}
 
 // --- crash: every scheme fails fast, nothing hangs ---------------------------
 
@@ -339,7 +354,7 @@ TEST(HealthDetector, DeadBackendLeavesRotationAndReturns) {
   EXPECT_EQ(env.lb.health_of(victim), lb::BackendHealth::Dead);
   EXPECT_EQ(env.lb.alive_backends(), LbEnv::kBackends - 1);
   EXPECT_GE(env.lb.fetch_failures(),
-            static_cast<std::uint64_t>(env.lb.health_config().dead_after));
+            static_cast<std::uint64_t>(lb::kDeadAfter));
   for (int i = 0; i < 100; ++i) EXPECT_NE(env.lb.pick(), victim);
 
   env.fabric.inject_recover(victim_node);

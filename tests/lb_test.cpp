@@ -83,7 +83,7 @@ TEST(LoadBalancer, OverloadedBackendLeavesRotation) {
   env.hog(1, 12);  // far beyond the overload cutoff
   env.lb->start(env.frontend, msec(50));
   env.simu.run_for(seconds(1));
-  EXPECT_GE(env.lb->index_of(1), env.lb->weights().overload_cutoff);
+  EXPECT_GE(env.lb->index_of(1), kOverloadCutoff);
   std::array<int, 4> picks{};
   for (int i = 0; i < 300; ++i) ++picks[static_cast<std::size_t>(env.lb->pick())];
   EXPECT_EQ(picks[1], 0);  // completely out of rotation
@@ -150,7 +150,7 @@ class ReferencePicker {
     };
     bool any_ok = false;
     for (int i = 0; i < n; ++i) {
-      if (in_rotation(i) && index_of(i) < lb.weights().overload_cutoff) {
+      if (in_rotation(i) && index_of(i) < kOverloadCutoff) {
         any_ok = true;
         break;
       }
@@ -164,7 +164,7 @@ class ReferencePicker {
       double w;
       if (!in_rotation(i)) {
         w = 0.0;
-      } else if (any_ok && idx >= lb.weights().overload_cutoff) {
+      } else if (any_ok && idx >= kOverloadCutoff) {
         w = 0.0;
       } else if (lb.health_of(i) == BackendHealth::Suspect) {
         w = kFloor;

@@ -90,7 +90,7 @@ struct ConformanceEnv {
                                                    pushcfg.slot_bytes);
       lb::PushPollConfig pcfg;
       pcfg.strategy = strategy;
-      pcfg.adaptive.push_heartbeat = pushcfg.max_interval;
+      pcfg.adaptive.push_heartbeat = monitor::kPushMaxInterval;
       lb.enable_push(*inbox, pcfg);
       for (int i = 0; i < n; ++i) {
         pubs.push_back(std::make_unique<monitor::PushPublisher>(

@@ -294,7 +294,7 @@ TEST(Rdma, WriteCompletesInvalidKeyWhenTargetMrDereggedMidFlight) {
 }
 
 TEST(Rdma, ForgottenWriteCompletionIsDroppedAsStale) {
-  // A consumer that gives up on a WRITE WR (publisher retarget, shutdown)
+  // A consumer that gives up on a WRITE WR (e.g. on shutdown)
   // calls forget(); the late completion must be swallowed by the CQ, not
   // delivered to whoever reuses the id space. Previously only READ WRs
   // exercised this path.
@@ -539,7 +539,7 @@ TEST(CqModeration, BatchesNotificationsPerCount) {
   cq.bind_moderation(env.simu, /*count=*/4, /*period=*/msec(1));
   QueuePair qp(env.fabric.nic(0), 1, cq);
   int wakeups = 0;
-  env.a.spawn("reaper", [&](SimThread& self) -> Program {
+  env.a.spawn("reaper", [&](SimThread&) -> Program {
     std::size_t drained = 0;
     while (drained < 8) {
       co_await os::WaitOn{&cq.wait_queue()};
@@ -566,7 +566,7 @@ TEST(CqModeration, PeriodTimerFlushesAPartialBatch) {
   cq.bind_moderation(env.simu, /*count=*/8, sim::usec(16));
   QueuePair qp(env.fabric.nic(0), 1, cq);
   bool woke = false;
-  env.a.spawn("reaper", [&](SimThread& self) -> Program {
+  env.a.spawn("reaper", [&](SimThread&) -> Program {
     co_await os::WaitOn{&cq.wait_queue()};
     woke = true;
   });
@@ -679,7 +679,7 @@ TEST(NicCtxCache, MissPenaltyDelaysTheRead) {
   const std::int64_t unbounded = measure(0);
   const std::int64_t bounded = measure(64);
   ASSERT_GT(unbounded, 0);
-  EXPECT_EQ(bounded - unbounded, 2 * FabricConfig{}.nic_ctx_miss_penalty.ns);
+  EXPECT_EQ(bounded - unbounded, 2 * kNicCtxMissPenalty.ns);
 }
 
 TEST(Nic, TxSerializesAtLinkBandwidth) {

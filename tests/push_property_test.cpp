@@ -10,7 +10,7 @@
 //  2. The adaptive controller. Mode decisions must be a pure function of
 //     the event trace (determinism — two controllers fed the same events
 //     agree switch for switch) and flap-free by construction (per-backend
-//     switch count bounded by min_dwell) under random traces.
+//     switch count bounded by kMinDwell) under random traces.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -175,7 +175,6 @@ struct TraceEvent {
   std::size_t backend;
   os::LoadSnapshot info;       // PullSample
   bool heartbeat = false;      // PushFresh
-  sim::Duration staleness{};   // PushFresh
 };
 
 /// Random but replayable trace: per-backend events every few ms over the
@@ -183,20 +182,19 @@ struct TraceEvent {
 /// 2s phases (repeated identical samples, heartbeat pushes: χ ≈ 0, push
 /// is the cheap mode) and BUSY phases (load jumps, change pushes: χ high,
 /// pull is), so a working controller provably flips modes both ways.
-std::vector<TraceEvent> random_trace(std::uint64_t seed,
-                                     const AdaptiveConfig& cfg, int backends,
+std::vector<TraceEvent> random_trace(std::uint64_t seed, int backends,
                                      sim::Duration horizon) {
   sim::Rng rng(seed);
   std::vector<TraceEvent> trace;
   sim::TimePoint now{};
-  sim::TimePoint next_tick = now + cfg.epoch;
+  sim::TimePoint next_tick = now + monitor::kAdaptiveEpoch;
   const sim::TimePoint end = now + horizon;
   const std::int64_t phase_ns = seconds(2).ns;
   while (now < end) {
     now += msec(1 + rng.uniform_int(0, 9));
     while (next_tick <= now) {
-      trace.push_back({TraceEvent::Tick, next_tick, 0, {}, false, {}});
-      next_tick += cfg.epoch;
+      trace.push_back({TraceEvent::Tick, next_tick, 0, {}, false});
+      next_tick += monitor::kAdaptiveEpoch;
     }
     const bool busy = (now.ns / phase_ns) % 2 == 1;
     TraceEvent e;
@@ -210,7 +208,6 @@ std::vector<TraceEvent> random_trace(std::uint64_t seed,
     } else {
       e.kind = TraceEvent::PushFresh;
       e.heartbeat = !busy;
-      e.staleness = msec(rng.uniform_int(1, 40));
     }
     trace.push_back(e);
   }
@@ -226,7 +223,7 @@ SwitchLog replay(AdaptiveController& ctl, const std::vector<TraceEvent>& t) {
     switch (e.kind) {
       case TraceEvent::PullSample: ctl.on_pull_sample(e.backend, e.info); break;
       case TraceEvent::PushFresh:
-        ctl.on_push_fresh(e.backend, e.heartbeat, e.staleness);
+        ctl.on_push_fresh(e.backend, e.heartbeat);
         break;
       case TraceEvent::Tick: ctl.tick(e.at); break;
     }
@@ -240,7 +237,7 @@ TEST(AdaptiveProperty, DecisionsAreDeterministic) {
   // the trace (no wall clock, no global state).
   AdaptiveConfig cfg;
   for (const std::uint64_t seed : {11ull, 22ull, 33ull, 44ull}) {
-    const auto trace = random_trace(seed, cfg, 4, seconds(10));
+    const auto trace = random_trace(seed, 4, seconds(10));
     AdaptiveController a(cfg, 4);
     AdaptiveController b(cfg, 4);
     const SwitchLog la = replay(a, trace);
@@ -258,15 +255,15 @@ TEST(AdaptiveProperty, DecisionsAreDeterministic) {
 }
 
 TEST(AdaptiveProperty, SwitchRateIsBoundedByMinDwell) {
-  // The hard flap bound: min_dwell is a floor between one backend's
+  // The hard flap bound: kMinDwell is a floor between one backend's
   // switches, so over a horizon H a backend can switch at most
-  // 1 + H/min_dwell times — whatever the trace does.
+  // 1 + H/kMinDwell times — whatever the trace does.
   AdaptiveConfig cfg;
   const sim::Duration horizon = seconds(10);
   const std::uint64_t bound =
-      1 + static_cast<std::uint64_t>(horizon.ns / cfg.min_dwell.ns);
+      1 + static_cast<std::uint64_t>(horizon.ns / monitor::kMinDwell.ns);
   for (const std::uint64_t seed : {7ull, 77ull, 777ull}) {
-    const auto trace = random_trace(seed, cfg, 4, horizon);
+    const auto trace = random_trace(seed, 4, horizon);
     AdaptiveController ctl(cfg, 4);
     replay(ctl, trace);
     for (std::size_t i = 0; i < 4; ++i) {
@@ -279,7 +276,7 @@ TEST(AdaptiveProperty, SwitchRateIsBoundedByMinDwell) {
 TEST(AdaptiveProperty, AdversarialTraceCannotForceFlapping) {
   // Worst-case input: χ alternating between zero and huge every single
   // epoch, i.e. the trace a naive controller would chase. The dwell
-  // filter must hold the switch count at the min_dwell bound.
+  // filter must hold the switch count at the kMinDwell bound.
   AdaptiveConfig cfg;
   AdaptiveController ctl(cfg, 1);
   sim::TimePoint now{};
@@ -289,24 +286,24 @@ TEST(AdaptiveProperty, AdversarialTraceCannotForceFlapping) {
   int runq = 0;
   const sim::TimePoint end = now + horizon;
   while (now < end) {
-    now += cfg.epoch;
+    now += monitor::kAdaptiveEpoch;
     if (busy_epoch) {
       // Many threshold-crossing pull samples / change pushes this epoch.
       for (int k = 0; k < 10; ++k) {
         os::LoadSnapshot s;
         s.nr_running = (runq = (runq + 4) % 8);
         ctl.on_pull_sample(0, s);
-        ctl.on_push_fresh(0, /*heartbeat=*/false, msec(5));
+        ctl.on_push_fresh(0, /*heartbeat=*/false);
       }
     } else {
       ctl.on_pull_sample(0, quiet);
-      ctl.on_push_fresh(0, /*heartbeat=*/true, msec(5));
+      ctl.on_push_fresh(0, /*heartbeat=*/true);
     }
     busy_epoch = !busy_epoch;
     ctl.tick(now);
   }
   const std::uint64_t bound =
-      1 + static_cast<std::uint64_t>(horizon.ns / cfg.min_dwell.ns);
+      1 + static_cast<std::uint64_t>(horizon.ns / monitor::kMinDwell.ns);
   EXPECT_LE(ctl.switches(0), bound);
 }
 

@@ -374,7 +374,7 @@ TEST(AlarmMonitor, AlarmReadableViaOneSidedRead) {
     net::QueuePair qp{fabric.nic(reader.id), alarms.node_id(), cq};
     net::Completion c;
     co_await net::rdma_read_sync(self, qp, alarms.mr_key(),
-                                 alarms.config().slot_bytes, c);
+                                 monitor::kAlarmSlotBytes, c);
     if (c.status == net::WcStatus::Success) {
       remote = c.data.get<AlarmView>();
       got = true;
@@ -501,7 +501,7 @@ TEST(FreshnessAlarm, DeadPublisherBreachesSloAndLeavesFlightDump) {
     net::QueuePair qp{fabric.nic(reader.id), alarms.node_id(), cq};
     net::Completion c;
     co_await net::rdma_read_sync(self, qp, alarms.mr_key(),
-                                 alarms.config().slot_bytes, c);
+                                 monitor::kAlarmSlotBytes, c);
     if (c.status == net::WcStatus::Success) {
       remote = c.data.get<AlarmView>();
       got = true;

@@ -3,39 +3,24 @@
 // must allocate at most a small fixed number of times per request: socket
 // messages ride in pooled fabric slots with inline payloads, IRQ bodies
 // and run/wait queues keep their storage and coroutine frames recycle.
-// What is left is the dispatcher's pending-request table node and the
-// balancer's dispatch-log deque chunks. A counting operator new brackets
-// exactly the steady-state phase.
+// What is left is the dispatcher's pending-request table node. A counting
+// operator new brackets exactly the steady-state phase.
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstdlib>
-#include <new>
 
+#include "alloc_count.hpp"
 #include "os/program.hpp"
 #include "sim/simulation.hpp"
 #include "web/cluster.hpp"
-
-namespace {
-std::uint64_t g_allocs = 0;
-}
-void* operator new(std::size_t n) {
-  ++g_allocs;
-  void* p = std::malloc(n);
-  if (!p) throw std::bad_alloc{};
-  return p;
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 
 namespace rdmamon {
 namespace {
 
 TEST(SocketAlloc, WarmRoundTripsAllocateAtMostOncePerRequest) {
-  // Measured 1.10 per request: one Dispatcher::pending_ node, plus one
-  // 480-byte chunk of LoadBalancer's dispatch-log deque per 12 dispatches
-  // and the pending table's occasional rehash.
-  constexpr double kPerRequest = 1.12;
+  // Measured 0.999 per request (2366 over 2368): one Dispatcher::pending_
+  // node per request; the dispatch log is a ring that keeps its storage.
+  constexpr double kPerRequest = 1.0;
   // Without the frame pool (AddressSanitizer builds) every subprogram
   // call allocates its frame: socket send and recv at the client, the
   // dispatcher's forwarder and router and the server's rx thread and
@@ -57,9 +42,9 @@ TEST(SocketAlloc, WarmRoundTripsAllocateAtMostOncePerRequest) {
 
   simu.run_for(sim::seconds(3));  // warm: pools and queues reach peak size
   const std::uint64_t done0 = clients.stats().completed();
-  const std::uint64_t allocs0 = g_allocs;
+  const std::uint64_t allocs0 = support::allocations();
   simu.run_for(window);
-  const std::uint64_t allocs = g_allocs - allocs0;
+  const std::uint64_t allocs = support::allocations() - allocs0;
   const std::uint64_t requests = clients.stats().completed() - done0;
 
   ASSERT_GT(requests, 1000u) << "the closed loop barely ran";

@@ -107,7 +107,7 @@ TEST(Disturbance, FiresAndRampsOnTargets) {
   EXPECT_GE(gen.events(), 3u);
   // Between events everything is torn down again eventually.
   EXPECT_LE(env.node.stats().nr_threads(),
-            cfg.stages * cfg.stage.threads);
+            kDisturbanceStages * cfg.stage.threads);
 }
 
 TEST(Disturbance, VictimLoadRisesDuringEvent) {

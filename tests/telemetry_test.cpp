@@ -2,11 +2,11 @@
 
 #include <cstdlib>
 #include <map>
-#include <new>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "alloc_count.hpp"
 #include "fault/fault.hpp"
 #include "lb/balancer.hpp"
 #include "monitor/inbox.hpp"
@@ -19,20 +19,6 @@
 #include "sim/simulation.hpp"
 #include "telemetry/export.hpp"
 #include "telemetry/registry.hpp"
-
-// Global allocation counter for the disabled-path no-allocation proof.
-// gtest itself allocates, so tests bracket exactly the code under test.
-namespace {
-std::uint64_t g_allocs = 0;
-}
-void* operator new(std::size_t n) {
-  ++g_allocs;
-  void* p = std::malloc(n);
-  if (!p) throw std::bad_alloc{};
-  return p;
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 
 namespace rdmamon::telemetry {
 namespace {
@@ -189,14 +175,14 @@ TEST(RecordHelpers, DisabledPathDoesNotAllocate) {
   Gauge* g = nullptr;
   HistogramMetric* h = nullptr;
   FlightRing* r = nullptr;
-  const std::uint64_t before = g_allocs;
+  const std::uint64_t before = support::allocations();
   for (int i = 0; i < 1000; ++i) {
     add(c);
     set(g, static_cast<double>(i));
     observe(h, static_cast<double>(i));
     fr_record(r, "fetch.ok", i, 1, 0.0);
   }
-  EXPECT_EQ(g_allocs, before);
+  EXPECT_EQ(support::allocations(), before);
 }
 
 TEST(Export, PrometheusTextShape) {
@@ -759,7 +745,7 @@ TEST(Meta, SelfMonitorServesSnapshotThroughOneSidedRead) {
     net::QueuePair qp{fabric.nic(reader.id), meta.node_id(), cq};
     net::Completion c;
     co_await net::rdma_read_sync(self, qp, meta.mr_key(),
-                                 meta.config().slot_bytes, c);
+                                 monitor::kSelfMonitorSlotBytes, c);
     if (c.status == net::WcStatus::Success) {
       remote = c.data.get<Snapshot>();
       got = true;

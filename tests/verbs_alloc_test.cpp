@@ -7,30 +7,17 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstdlib>
 #include <memory>
-#include <new>
 #include <string>
 #include <vector>
 
+#include "alloc_count.hpp"
 #include "monitor/monitor.hpp"
 #include "monitor/scatter.hpp"
 #include "net/fabric.hpp"
 #include "os/node.hpp"
 #include "os/program.hpp"
 #include "sim/simulation.hpp"
-
-namespace {
-std::uint64_t g_allocs = 0;
-}
-void* operator new(std::size_t n) {
-  ++g_allocs;
-  void* p = std::malloc(n);
-  if (!p) throw std::bad_alloc{};
-  return p;
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 
 namespace rdmamon {
 namespace {
@@ -67,14 +54,14 @@ TEST(VerbsAlloc, SteadyStateScatterRoundAllocatesNothing) {
   int ok = 0;
   fe.spawn("poller", [&](os::SimThread& self) -> os::Program {
     for (int r = 0; r < kWarmRounds + kRounds; ++r) {
-      if (r == kWarmRounds) at_warm = g_allocs;
+      if (r == kWarmRounds) at_warm = support::allocations();
       co_await scatter.round_all(self, samples);
       if (r >= kWarmRounds) {
         for (const monitor::MonitorSample& s : samples) ok += s.ok ? 1 : 0;
       }
       co_await os::SleepFor{sim::msec(5)};
     }
-    at_end = g_allocs;
+    at_end = support::allocations();
   });
   simu.run_for(sim::seconds(1));
 
